@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <optional>
 #include <thread>
 
@@ -162,7 +161,15 @@ Engine::Engine(xml::Document* doc, const std::string& storage_path,
   mutable_doc_ = doc;
 }
 
-Engine::~Engine() { scrubber_->Stop(); }
+Engine::~Engine() {
+  scrubber_->Stop();
+  {
+    std::lock_guard<std::mutex> lock(timer_mu_);
+    timer_stop_ = true;
+  }
+  timer_cv_.notify_all();
+  if (timer_.joinable()) timer_.join();
+}
 
 const MaterializedView* Engine::AddView(const std::string& xpath,
                                         Scheme scheme) {
@@ -588,16 +595,6 @@ std::vector<RunResult> Engine::ExecuteBatch(
     catalog_->DropCaches();
     catalog_->ResetStats();
   }
-  RunOptions per_query = options.run;
-  per_query.cold_cache = false;
-  if (options.deadline_ms > 0) per_query.deadline_ms = options.deadline_ms;
-  if (options.per_query_memory_budget > 0) {
-    per_query.memory_budget_bytes = options.per_query_memory_budget;
-  }
-  if (options.per_query_disk_budget > 0) {
-    per_query.disk_budget_bytes = options.per_query_disk_budget;
-  }
-
   size_t workers = std::min(std::max<size_t>(options.threads, 1),
                             queries.size());
 
@@ -614,102 +611,69 @@ std::vector<RunResult> Engine::ExecuteBatch(
     results[i].admission = BatchAdmission::kRejected;
     results[i].error = "rejected: admission queue full";
   }
-  if (admitted == 0) return results;
 
-  // One governance context per admitted query. They live in a deque that
-  // outlives both workers and watchdog, so the watchdog can never touch a
-  // freed context; finished queries just keep an expired (ignored) deadline.
-  std::deque<algo::QueryContext> govs(admitted);
   std::atomic<size_t> next{0};
-
-  auto serve = [&](size_t worker_id) {
-    // Each worker spools disk-mode intermediates into a private scratch file;
-    // kTruncate removes it on close.
-    storage::Pager spill(storage_path_ + ".spill." + std::to_string(worker_id),
-                         storage::Pager::Mode::kTruncate);
+  auto serve = [&] {
+    Session session(this);
     for (size_t i = next.fetch_add(1); i < admitted; i = next.fetch_add(1)) {
       const BatchQuery& q = queries[i];
       VJ_CHECK(q.query != nullptr) << "batch query " << i << " has no pattern";
-      RunOptions mine = per_query;
+      RunOptions mine = options.run;
       if (q.deadline_ms >= 0) mine.deadline_ms = q.deadline_ms;
       if (q.cancel != nullptr) mine.cancel = q.cancel;
-      algo::QueryContext& gov = govs[i];
-      ExecContext ctx{&spill, /*exclusive=*/false, &gov};
-      // Decorrelated jitter, seeded per (worker, query): deterministic for a
-      // given schedule, but workers that trip over the same fault back off on
-      // spread-out delays instead of retrying in lockstep.
-      util::DecorrelatedJitterBackoff backoff(
-          options.retry_backoff_ms, options.retry_backoff_cap_ms,
-          (static_cast<uint64_t>(worker_id) << 32) ^ i);
-      int attempt = 0;
-      while (true) {
-        ++attempt;
-        gov.ResetForRetry();
-        // Re-arms the deadline: each service attempt gets the full budget.
-        ConfigureGovernance(&gov, mine);
-        results[i] = ExecuteInternal(*q.query, q.views, mine,
-                                     /*sink=*/nullptr, ctx);
-        results[i].attempts = attempt;
-        if (results[i].ok || !results[i].retryable ||
-            attempt > options.max_retries) {
-          break;
-        }
-        // Transient storage fault: back off with jitter, then retry.
-        RetrySleep(backoff.NextDelayMs());
-      }
+      results[i] = session.Run(*q.query, q.views, mine, options.retry);
     }
   };
-
-  // Watchdog: cooperative checkpoints cannot run while a worker sits inside
-  // a long page read, so deadlines are also fired from outside. The worker
-  // observes the abort flag at its next loop iteration.
-  bool need_watchdog = per_query.deadline_ms > 0;
-  for (const BatchQuery& q : queries) need_watchdog |= q.deadline_ms > 0;
-  std::mutex wd_mu;
-  std::condition_variable wd_cv;
-  bool wd_stop = false;
-  std::thread watchdog;
-  if (need_watchdog) {
-    watchdog = std::thread([&] {
-      std::unique_lock<std::mutex> lock(wd_mu);
-      while (!wd_stop) {
-        wd_cv.wait_for(lock, std::chrono::milliseconds(5));
-        for (algo::QueryContext& gov : govs) {
-          if (gov.DeadlineExpired()) {
-            gov.RequestAbort(algo::AbortReason::kDeadline);
-          }
-        }
-      }
-    });
-  }
-
-  if (workers == 1) {
-    serve(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) pool.emplace_back(serve, w);
-    for (std::thread& t : pool) t.join();
-  }
-
-  if (watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(wd_mu);
-      wd_stop = true;
-    }
-    wd_cv.notify_all();
-    watchdog.join();
-  }
+  std::vector<std::thread> pool;
+  for (size_t w = 1; w < workers; ++w) pool.emplace_back(serve);
+  serve();
+  for (std::thread& t : pool) t.join();
   return results;
 }
 
-Engine::Session::Session(Engine* engine, size_t id)
+Engine::Session::Session(Engine* engine)
+    : Session(engine, engine->next_session_id_.fetch_add(1)) {}
+
+Engine::Session::Session(Engine* engine, uint64_t id)
     : engine_(engine),
-      // Like a batch worker's scratch file, but named per session and living
-      // as long as the session does; kTruncate removes it on close.
+      // Private scratch file living as long as the session does; kTruncate
+      // removes it on close.
       spill_(engine->storage_path_ + ".session." + std::to_string(id),
              storage::Pager::Mode::kTruncate),
-      seed_(0x5E5510ULL ^ (static_cast<uint64_t>(id) << 20)) {}
+      seed_(0x5E5510ULL ^ (id << 20)) {
+  std::lock_guard<std::mutex> lock(engine_->timer_mu_);
+  engine_->live_sessions_.push_back(this);
+  if (!engine_->timer_.joinable()) {
+    engine_->timer_ = std::thread([engine] { engine->DeadlineTimerLoop(); });
+  }
+  engine_->timer_cv_.notify_all();
+}
+
+Engine::Session::~Session() {
+  std::lock_guard<std::mutex> lock(engine_->timer_mu_);
+  std::vector<Session*>& live = engine_->live_sessions_;
+  live.erase(std::find(live.begin(), live.end(), this));
+}
+
+void Engine::DeadlineTimerLoop() {
+  std::unique_lock<std::mutex> lock(timer_mu_);
+  while (true) {
+    // Idle while no session lives; otherwise tick every 5 ms.
+    timer_cv_.wait(lock, [this] {
+      return timer_stop_ || !live_sessions_.empty();
+    });
+    if (timer_cv_.wait_for(lock, std::chrono::milliseconds(5),
+                           [this] { return timer_stop_; })) {
+      return;
+    }
+    for (Session* session : live_sessions_) {
+      algo::QueryContext* gov = session->governance();
+      if (gov->DeadlineExpired()) {
+        gov->RequestAbort(algo::AbortReason::kDeadline);
+      }
+    }
+  }
+}
 
 RunResult Engine::Session::Run(
     const TreePattern& query, const std::vector<const MaterializedView*>& views,
@@ -723,23 +687,27 @@ RunResult Engine::Session::Run(
   // on one session (and the same query on two sessions) spread differently.
   util::DecorrelatedJitterBackoff backoff(retry.backoff_ms,
                                           retry.backoff_cap_ms, seed_++);
+  // A verdict left over from the previous query (a late abort) must not
+  // stop this one.
+  gov_.ResetForRetry();
   RunResult result;
-  int attempt = 0;
-  while (true) {
-    ++attempt;
-    // A reused context must not inherit the previous query's deadline
-    // (ResetForRetry deliberately keeps it for same-query retries).
-    gov_.clear_deadline();
-    gov_.ResetForRetry();
+  for (int attempt = 1;; ++attempt) {
+    // Arms this attempt's deadline: each attempt gets the full budget.
     ConfigureGovernance(&gov_, mine);
     result = engine_->ExecuteInternal(query, views, mine, /*sink=*/nullptr,
                                       ctx);
     result.attempts = attempt;
     if (result.ok || !result.retryable || attempt > retry.max_retries) break;
+    // Transient storage fault: back off with jitter, then retry. The
+    // deadline is disarmed while sleeping, so an abort found after the
+    // sleep came from outside (a drain) and is kept: the next attempt stops
+    // at once with that verdict instead of serving the retry.
+    gov_.clear_deadline();
     RetrySleep(backoff.NextDelayMs());
+    if (!gov_.aborted()) gov_.ResetForRetry();
   }
-  // Disarm so a watchdog polling between queries never sees a stale expired
-  // deadline from a query that already answered.
+  // Disarm so the deadline timer polling between queries never sees a stale
+  // expired deadline from a query that already answered.
   gov_.clear_deadline();
   return result;
 }
@@ -953,13 +921,14 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
   }
   view::DeltaCollector collector(mutable_doc_, std::move(patterns));
 
+  // Exclusive phase: waits out in-flight queries, then holds them off from
+  // the first mutation until the new views are installed. Releasing it any
+  // earlier lets a query pair the new document (or document store) with the
+  // previous epoch's views and return a count that matches neither epoch.
+  std::unique_lock<std::shared_mutex> doc_lock(doc_mu_);
   bool rebuild_all = false;
   {
-    // Exclusive document phase: waits out in-flight queries, mutates, and
-    // collects per-op deltas. Queries admitted after this block see the new
-    // document; view maintenance below runs without the lock (the document
-    // is read-only again), so queries overlap the install.
-    std::unique_lock<std::shared_mutex> doc_lock(doc_mu_);
+    // Mutate and collect per-op deltas.
     // Ops address nodes by their pre-batch labels; a mid-batch relabel
     // multiplies every position by the gap, so scale later ops' coordinates.
     uint32_t label_scale = 1;
@@ -1032,8 +1001,7 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
       ++out.applied;
     }
     // Disk doc-mode: re-snapshot the paged store while the exclusive lock
-    // still guarantees no cursor is live over the old pages. Queries
-    // admitted after this block scan the post-batch streams.
+    // guarantees no cursor is live over the old pages.
     if (out.applied > 0 || out.relabeled) RebuildDocStore();
   }
   out.doc_revision = mutable_doc_->revision();
@@ -1064,14 +1032,13 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
   }
   if (specs.empty()) return out;  // no view touched: no transaction needed
 
-  // Maintenance phase: no lock on the document — it is read-only again, so
-  // concurrent queries proceed (answering from the still-registered old
-  // views) while the new epoch stages and installs. ApplyUpdateBatch
-  // registers the whole batch atomically after its commit record lands.
+  // Maintenance phase: ApplyUpdateBatch registers the whole batch
+  // atomically after its commit record lands; queries resume once it has.
   storage::ViewCatalog::UpdateBatchOptions batch_options;
   batch_options.delta_spill_bytes = static_cast<size_t>(*spill_bytes);
   util::StatusOr<storage::ViewCatalog::UpdateBatchResult> applied =
       catalog_->ApplyUpdateBatch(*mutable_doc_, specs, batch_options);
+  doc_lock.unlock();
   if (!applied.ok()) return applied.status();
   out.txn_epoch = applied->txn_epoch;
   out.delta_maintained = applied->delta_maintained;

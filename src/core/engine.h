@@ -2,6 +2,7 @@
 #define VIEWJOIN_CORE_ENGINE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -9,6 +10,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algo/holistic_stats.h"
@@ -120,49 +122,44 @@ struct RunOptions {
   bool allow_base_fallback = true;
 };
 
+/// Bounded-retry policy of Engine::Session::Run, the engine's one retry
+/// ladder: queries that failed on a transient storage fault
+/// (RunResult::retryable) are re-executed up to `max_retries` times with
+/// decorrelated-jitter backoff — each delay is uniform in
+/// [backoff_ms, min(backoff_cap_ms, 3 x previous delay)], so sessions that
+/// faulted together retry spread out instead of in lockstep (the
+/// thundering-herd hazard of deterministic doubling). Deterministic failures
+/// (bad bindings, budget exhaustion, deadline, cancel) are never retried.
+struct RetryPolicy {
+  int max_retries = 0;
+  double backoff_ms = 1.0;
+  double backoff_cap_ms = 100.0;
+};
+
 /// One query of an ExecuteBatch call: the pattern plus its covering views.
 /// The pointed-to pattern must outlive the batch call.
 struct BatchQuery {
   const tpq::TreePattern* query = nullptr;
   std::vector<const storage::MaterializedView*> views;
-  /// Per-query deadline override in ms; < 0 inherits BatchOptions::deadline_ms.
+  /// Per-query deadline override in ms; < 0 inherits BatchOptions::run.
   double deadline_ms = -1;
   /// Per-query cancellation token; overrides BatchOptions::run.cancel.
   const std::atomic<bool>* cancel = nullptr;
 };
 
 struct BatchOptions {
-  /// Worker threads serving the batch (clamped to [1, queries.size()]).
+  /// Sessions serving the batch (clamped to [1, queries.size()]).
   size_t threads = 4;
   /// Admission control: at most `threads + max_queued` queries are admitted;
   /// the overflow is returned immediately with BatchAdmission::kRejected and
   /// never executed (backpressure instead of unbounded queueing). The
   /// default admits everything.
   size_t max_queued = SIZE_MAX;
-  /// Per-query deadline in ms applied to every admitted query (0 = none).
-  /// The clock starts when a worker picks the query up; enforced both
-  /// cooperatively and by a watchdog thread that fires deadlines on workers
-  /// stuck inside long page reads.
-  double deadline_ms = 0;
-  /// Per-query memory/disk budgets in bytes (0 = unlimited); same
-  /// degradation ladder as RunOptions::memory_budget_bytes.
-  uint64_t per_query_memory_budget = 0;
-  uint64_t per_query_disk_budget = 0;
-  /// Bounded retry for queries that failed on a transient storage fault
-  /// (RunResult::retryable): up to `max_retries` re-executions with
-  /// decorrelated-jitter backoff — each delay is uniform in
-  /// [retry_backoff_ms, min(retry_backoff_cap_ms, 3 x previous delay)], so
-  /// workers that faulted together retry spread out instead of in lockstep
-  /// (the thundering-herd hazard of deterministic doubling). Deterministic
-  /// failures (bad bindings, budget exhaustion, deadline, cancel) are never
-  /// retried.
-  int max_retries = 0;
-  double retry_backoff_ms = 1.0;
-  double retry_backoff_cap_ms = 100.0;
-  /// Per-query options. `cold_cache` applies once to the whole batch (the
-  /// pool is shared; dropping it per query would evict siblings' pages).
-  /// deadline_ms / budget fields here act as defaults; the dedicated batch
-  /// fields above override them when non-zero.
+  RetryPolicy retry;
+  /// Per-query options (deadline, budgets, fallback). A deadline's clock
+  /// starts when a session picks the query up. `cold_cache` applies once to
+  /// the whole batch (the pool is shared; dropping it per query would evict
+  /// siblings' pages).
   RunOptions run;
 };
 
@@ -181,12 +178,12 @@ struct RunResult {
   bool timed_out = false;
   bool cancelled = false;
   /// False for deterministic failures; true when the failure was a storage
-  /// fault that a retry might not hit (the batch retry ladder keys on this).
+  /// fault that a retry might not hit (the retry ladder keys on this).
   bool retryable = false;
   /// Admission verdict (always kAdmitted outside ExecuteBatch). Rejected
   /// queries carry no other information: they were never executed.
   BatchAdmission admission = BatchAdmission::kAdmitted;
-  /// Execution attempts the batch retry ladder spent (1 = no retry).
+  /// Execution attempts the retry ladder spent (1 = no retry).
   int attempts = 1;
   /// Peak bytes of buffered intermediate solutions charged against the
   /// memory budget (0 when the run was ungoverned and unbudgeted — the
@@ -226,15 +223,6 @@ struct RunResult {
   /// end (all zero when scrubbing is off). Cumulative across calls, not a
   /// per-call delta — surfaced so --explain can report scrub health.
   storage::ScrubStats scrub;
-};
-
-/// Bounded-retry policy for Engine::Session::Run — the same
-/// decorrelated-jitter ladder ExecuteBatch uses (see
-/// BatchOptions::max_retries).
-struct RetryPolicy {
-  int max_retries = 0;
-  double backoff_ms = 1.0;
-  double backoff_cap_ms = 100.0;
 };
 
 /// One live-document mutation of an Engine::ApplyUpdates batch. Nodes are
@@ -292,36 +280,43 @@ class Engine {
   using RetryPolicy = core::RetryPolicy;
 
   /// A long-lived, non-exclusive execution handle: what a query server's
-  /// worker thread holds. Each session owns a private spill pager (like a
-  /// batch worker's scratch file) and one reusable governance context, and
-  /// runs queries through the same fault-recovery + bounded-retry ladder as
-  /// ExecuteBatch — but one query at a time, indefinitely, concurrently with
-  /// sibling sessions on the same engine.
+  /// worker thread and an ExecuteBatch worker hold. Each session owns a
+  /// private spill pager ("<storage_path>.session.<n>", n unique per engine)
+  /// and one reusable governance context, and runs queries through the
+  /// engine's fault-recovery + bounded-retry ladder — one query at a time,
+  /// indefinitely, concurrently with sibling sessions on the same engine.
+  /// While a session lives, the engine's deadline timer fires its queries'
+  /// deadlines even when a worker sits inside a long page read.
   ///
   /// Rules: Run() is serial per session (one query at a time); sessions on
   /// one engine may Run() concurrently with each other and with the
-  /// scrubber, but not with Execute/ExecuteBatch (those assume exclusivity
-  /// for cold-cache drops). governance() is safe to poll from a watchdog
-  /// thread while Run() executes — RequestAbort/DeadlineExpired only.
+  /// scrubber, but not with Execute (which assumes exclusivity for
+  /// cold-cache drops). Sessions must be destroyed before their engine.
+  /// governance() is safe to use from another thread while Run() executes —
+  /// RequestAbort/DeadlineExpired only.
   class Session {
    public:
-    Session(Engine* engine, size_t id);
+    explicit Session(Engine* engine);
+    ~Session();
 
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
 
     /// Runs one query. cold_cache is forced off (the store is shared with
     /// sibling sessions); everything else in `run` applies as in Execute.
-    /// RunResult::attempts counts the retry ladder's executions.
+    /// Each attempt gets the full deadline. RunResult::attempts counts the
+    /// retry ladder's executions.
     RunResult Run(const tpq::TreePattern& query,
                   const std::vector<const storage::MaterializedView*>& views,
                   const RunOptions& run, const RetryPolicy& retry = {});
 
-    /// The session's governance context, for an external watchdog:
-    /// DeadlineExpired()/RequestAbort() only (those are thread-safe).
+    /// The session's governance context, for aborting from another thread
+    /// (a server drain): DeadlineExpired()/RequestAbort() only.
     algo::QueryContext* governance() { return &gov_; }
 
    private:
+    Session(Engine* engine, uint64_t id);
+
     Engine* engine_;
     storage::Pager spill_;
     algo::QueryContext gov_;
@@ -329,8 +324,8 @@ class Engine {
     uint64_t seed_;
   };
 
-  /// Replaces the retry ladder's backoff sleeps (ExecuteBatch and
-  /// Session::Run) with `hook` — tests observe the jittered delays instead
+  /// Replaces the retry ladder's backoff sleeps (Session::Run, and so
+  /// ExecuteBatch) with `hook` — tests observe the jittered delays instead
   /// of waiting them out. Pass nullptr to restore real sleeping. Not
   /// thread-safe against in-flight batches; set it before running.
   static void SetRetrySleepHookForTest(std::function<void(double)> hook);
@@ -371,21 +366,19 @@ class Engine {
                  const std::vector<const storage::MaterializedView*>& views,
                  const RunOptions& run = {}, tpq::MatchSink* sink = nullptr);
 
-  /// Serves `queries` concurrently on a fixed pool of `options.threads`
-  /// workers sharing this engine's view store and buffer pool. Results are
-  /// positional: results[i] answers queries[i], with the same fault-recovery
-  /// ladder as Execute. Per-query isolation guarantees:
+  /// Serves `queries` on `options.threads` Sessions pulling from the
+  /// positional queue, sharing this engine's view store and buffer pool.
+  /// Results are positional: results[i] answers queries[i]. Everything a
+  /// Session guarantees holds per query:
   ///   - a storage fault in one query degrades *that* RunResult only (error
   ///     latching is per-query via BufferPool::ErrorScope);
   ///   - quarantine + re-materialization is serialized engine-wide, and a
-  ///     worker reuses a replacement a sibling already rebuilt;
-  ///   - each worker spools disk-mode intermediates into its own spill file
-  ///     ("<storage_path>.spill.<worker>").
-  /// Governance (see BatchOptions): queries beyond threads + max_queued are
-  /// rejected up front (kRejected) without perturbing admitted queries; a
-  /// watchdog thread fires per-query deadlines on stuck workers; queries
-  /// failing on transient storage faults are retried with exponential
-  /// backoff up to max_retries times.
+  ///     session reuses a replacement a sibling already rebuilt;
+  ///   - each session spools disk-mode intermediates into its own spill file;
+  ///   - deadlines fire through the engine's deadline timer; transient
+  ///     storage faults retry per options.retry.
+  /// Queries beyond threads + max_queued are rejected up front (kRejected)
+  /// without perturbing admitted queries.
   /// io counters in batch results come from the shared pool/pager and so
   /// attribute sibling I/O to whichever query observed it; use the aggregate
   /// across the batch, not per-query splits. Not reentrant: one batch (or
@@ -416,10 +409,10 @@ class Engine {
   /// Applies a batch of live-document updates and delta-maintains every
   /// affected materialized view, atomically (one manifest update
   /// transaction; see storage::ViewCatalog::ApplyUpdateBatch):
-  ///   - the document mutates under an exclusive lock, so concurrent
-  ///     queries (sessions, batches) never observe a half-applied batch;
-  ///     queries running while the new views install keep answering from
-  ///     the still-registered previous-epoch views;
+  ///   - the exclusive document lock is held from the first mutation until
+  ///     the new views are installed, so a concurrent query (session, batch)
+  ///     sees the document, document store and views of one epoch — never
+  ///     the new document against the previous epoch's views;
   ///   - list-scheme views get sorted label deltas merged into their stored
   ///     lists; T-scheme views and every view after a relabel are rebuilt;
   ///   - each op failing validation is skipped and reported, the rest of
@@ -477,7 +470,7 @@ class Engine {
   /// Per-call execution environment: which spill pager to spool into,
   /// whether this call owns the engine exclusively, and the query's
   /// governance context. Exclusive calls (plain Execute) may drop caches and
-  /// use the pool-global error latch; batch workers run non-exclusive with a
+  /// use the pool-global error latch; sessions run non-exclusive with a
   /// thread-local ErrorScope instead.
   struct ExecContext {
     storage::Pager* spill = nullptr;
@@ -506,10 +499,10 @@ class Engine {
   /// Non-null only via the mutable-document constructor; ApplyUpdates'
   /// write handle.
   xml::Document* mutable_doc_ = nullptr;
-  /// Readers-writer lock over the document: every query path holds it
-  /// shared for the duration of execution, ApplyUpdates holds it exclusive
-  /// while mutating — queries see either the pre- or the post-batch
-  /// document, never a torn one.
+  /// Readers-writer lock over the document and the views derived from it:
+  /// every query path holds it shared for the duration of execution,
+  /// ApplyUpdates holds it exclusive while mutating and installing — queries
+  /// see either the pre- or the post-batch epoch, never a torn one.
   std::shared_mutex doc_mu_;
   /// Serializes whole update batches (mutation + view maintenance) so two
   /// ApplyUpdates calls cannot interleave their catalog transactions.
@@ -536,9 +529,20 @@ class Engine {
   /// first; ~Engine also stops it explicitly before members tear down.
   std::unique_ptr<storage::Scrubber> scrubber_;
   plan::PlanCache plan_cache_;
-  /// Serializes quarantine + re-materialization across batch workers so two
-  /// workers hitting the same corrupt view rebuild it once.
+  /// Serializes quarantine + re-materialization across sessions so two
+  /// sessions hitting the same corrupt view rebuild it once.
   std::mutex recovery_mu_;
+
+  /// Fires expired deadlines of every live Session's query: cooperative
+  /// checkpoints cannot run while a worker sits inside a long page read.
+  /// Started with the first Session, joined in ~Engine.
+  void DeadlineTimerLoop();
+  std::atomic<uint64_t> next_session_id_{0};
+  std::mutex timer_mu_;  // guards live_sessions_, timer_stop_, timer_
+  std::condition_variable timer_cv_;
+  std::vector<Session*> live_sessions_;
+  bool timer_stop_ = false;
+  std::thread timer_;
 };
 
 }  // namespace viewjoin::core

@@ -14,7 +14,7 @@ namespace viewjoin::server {
 
 namespace {
 
-constexpr auto kWatchdogTick = std::chrono::milliseconds(5);
+constexpr auto kDrainTick = std::chrono::milliseconds(5);
 
 QueryResponse ErrorResponse(std::string message) {
   QueryResponse response;
@@ -57,16 +57,19 @@ util::Status QueryServer::Start() {
   size_t workers = std::max<size_t>(options_.workers, 1);
   sessions_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
-    sessions_.push_back(std::make_unique<core::Engine::Session>(engine_, i));
+    sessions_.push_back(std::make_unique<core::Engine::Session>(engine_));
   }
 
   state_.store(State::kServing, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   worker_threads_.reserve(workers);
+  workers_running_.store(workers, std::memory_order_release);
   for (size_t i = 0; i < workers; ++i) {
-    worker_threads_.emplace_back([this, i] { WorkerLoop(i); });
+    worker_threads_.emplace_back([this, i] {
+      WorkerLoop(i);
+      workers_running_.fetch_sub(1, std::memory_order_acq_rel);
+    });
   }
-  watchdog_ = std::thread([this] { WatchdogLoop(); });
   return util::Status::Ok();
 }
 
@@ -331,8 +334,8 @@ QueryResponse QueryServer::HandleQuery(const QueryRequest& request,
     response.verdict = Verdict::kTimeout;
     response.error = result.error;
   } else if (result.cancelled) {
-    // The only canceller here is the drain watchdog (clients have no cancel
-    // channel yet), so tell the client the truth about why.
+    // The only canceller here is the drain (clients have no cancel channel
+    // yet), so tell the client the truth about why.
     response.verdict = Verdict::kCancelled;
     response.error = draining() ? "cancelled by drain" : result.error;
   } else {
@@ -506,36 +509,12 @@ BackupResponse QueryServer::TriggerBackup(const std::string& dest_dir) {
   return response;
 }
 
-void QueryServer::WatchdogLoop() {
-  while (state_.load(std::memory_order_acquire) != State::kStopped) {
-    std::this_thread::sleep_for(kWatchdogTick);
-    // Cooperative checkpoints cannot run while a worker sits inside a long
-    // page read; expired deadlines are fired from here, exactly as the batch
-    // watchdog does.
-    for (const std::unique_ptr<core::Engine::Session>& session : sessions_) {
-      if (session->governance()->DeadlineExpired()) {
-        session->governance()->RequestAbort(algo::AbortReason::kDeadline);
-      }
-    }
-    int64_t drain_deadline = drain_deadline_ns_.load(std::memory_order_acquire);
-    if (drain_deadline != 0 && NowNanos() >= drain_deadline) {
-      // Drain budget exhausted: abort whatever is still running so drain
-      // always terminates. The aborted queries answer kCancelled.
-      if (in_flight_.load(std::memory_order_relaxed) > 0) {
-        drain_forced_.store(true, std::memory_order_relaxed);
-      }
-      for (const std::unique_ptr<core::Engine::Session>& session : sessions_) {
-        session->governance()->RequestAbort(algo::AbortReason::kCancelled);
-      }
-    }
-  }
-}
-
 void QueryServer::HardKill() {
   hard_killed_.store(true, std::memory_order_release);
-  // Pull the drain deadline to "now": the watchdog's next tick aborts all
-  // in-flight queries. Workers never have their sockets yanked from under
-  // them (fd-reuse races); bounded op deadlines get them out on their own.
+  // Pull the drain deadline to "now": Drain() keeps aborting in-flight
+  // queries until the workers exit. Workers never have their sockets yanked
+  // from under them (fd-reuse races); bounded op deadlines get them out on
+  // their own.
   drain_deadline_ns_.store(1, std::memory_order_release);
   for (const std::unique_ptr<core::Engine::Session>& session : sessions_) {
     session->governance()->RequestAbort(algo::AbortReason::kCancelled);
@@ -574,17 +553,32 @@ bool QueryServer::Drain() {
   if (drained_) return drain_clean_;
 
   if (accept_thread_.joinable()) accept_thread_.join();
+  // Step 2: let in-flight queries finish until the drain deadline, then
+  // abort them (kCancelled). The abort is repeated every tick until the
+  // workers exit: a query picked up just as the drain began resets its
+  // session's verdict when it starts, so a single abort could miss it.
+  while (workers_running_.load(std::memory_order_acquire) > 0) {
+    std::this_thread::sleep_for(kDrainTick);
+    if (NowNanos() < drain_deadline_ns_.load(std::memory_order_acquire)) {
+      continue;
+    }
+    if (in_flight_.load(std::memory_order_relaxed) > 0) {
+      drain_forced_.store(true, std::memory_order_relaxed);
+    }
+    for (const std::unique_ptr<core::Engine::Session>& session : sessions_) {
+      session->governance()->RequestAbort(algo::AbortReason::kCancelled);
+    }
+  }
   for (std::thread& worker : worker_threads_) {
     if (worker.joinable()) worker.join();
   }
   state_.store(State::kStopped, std::memory_order_release);
-  if (watchdog_.joinable()) watchdog_.join();
 
   // A backup that won the race against the drain flag finishes before the
   // catalog closes under it (TriggerBackup claims its slot before checking
   // the state, so this wait cannot miss one).
   while (backups_in_flight_.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(kWatchdogTick);
+    std::this_thread::sleep_for(kDrainTick);
   }
 
   // Step 3: quiesce the background scrubber before touching the catalog —

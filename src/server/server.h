@@ -62,8 +62,8 @@ struct ServerOptions {
   /// fallback's unbounded full scan; flip for availability-over-latency.
   bool allow_base_fallback = false;
   /// Graceful-drain budget: in-flight queries still running this long after
-  /// Drain() starts are watchdog-aborted (kCancelled) so drain always
-  /// terminates.
+  /// Drain() starts are aborted (kCancelled) by Drain() itself, so drain
+  /// always terminates.
   double drain_deadline_ms = 5000;
   /// Default destination for triggered hot backups (SIGUSR2 or a
   /// kBackupRequest with an empty dest_dir); "" = backups must name a
@@ -82,11 +82,11 @@ struct ServerOptions {
 
 /// A long-lived multi-tenant query server over one Engine.
 ///
-/// Threads: one blocking accept loop, `workers` worker threads (each owning
-/// an Engine::Session), and one watchdog that fires query deadlines on stuck
-/// workers and enforces the drain budget. Connections are keep-alive: a
-/// worker serves one connection's requests to completion before taking the
-/// next from the pending queue.
+/// Threads: one blocking accept loop and `workers` worker threads, each
+/// owning an Engine::Session (query deadlines fire through the engine's
+/// deadline timer; Drain() enforces the drain budget). Connections are
+/// keep-alive: a worker serves one connection's requests to completion
+/// before taking the next from the pending queue.
 ///
 /// Overload behavior is "reject fast, typed": per-tenant quota exhaustion,
 /// queue high water and memory high water all produce an immediate
@@ -115,7 +115,7 @@ class QueryServer {
 
   /// Graceful shutdown; blocks until the server is fully stopped and the
   /// engine's catalog is closed. Returns true when every in-flight query
-  /// finished inside the drain budget (no watchdog abort, no hard kill).
+  /// finished inside the drain budget (no forced abort, no hard kill).
   /// Idempotent; concurrent callers all block until done.
   bool Drain();
 
@@ -143,7 +143,6 @@ class QueryServer {
 
   void AcceptLoop();
   void WorkerLoop(size_t worker_id);
-  void WatchdogLoop();
 
   /// Sheds `conn` at accept time with a typed kRejected, before reading its
   /// request (respond → half-close → drain unread bytes → close).
@@ -182,14 +181,16 @@ class QueryServer {
   Listener listener_;
   std::atomic<State> state_{State::kIdle};
   std::atomic<bool> hard_killed_{false};
-  /// Set once drain begins; the watchdog aborts in-flight queries past it.
+  /// Set once drain begins; Drain() aborts in-flight queries past it.
   std::atomic<int64_t> drain_deadline_ns_{0};
-  /// True when the drain watchdog had to abort a still-running query.
+  /// True when Drain() had to abort a still-running query.
   std::atomic<bool> drain_forced_{false};
 
   std::thread accept_thread_;
   std::vector<std::thread> worker_threads_;
-  std::thread watchdog_;
+  /// Worker threads that have not returned yet; Drain() polls it so it can
+  /// keep aborting stubborn queries until the last worker exits.
+  std::atomic<size_t> workers_running_{0};
   std::vector<std::unique_ptr<core::Engine::Session>> sessions_;
 
   mutable std::mutex mu_;  // guards pending_

@@ -180,7 +180,6 @@ class BufferPool {
   /// engine's quarantine path calls it after re-materializing a view so a
   /// stale poison latch cannot outlive the fault it recorded.
   void ResetError();
-  void ClearError() { ResetError(); }  // legacy spelling
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }

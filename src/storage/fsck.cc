@@ -146,10 +146,10 @@ FsckCatalogReport FsckCatalog(const std::string& path) {
   report.manifest_status = replayed.status();
   report.pager = FsckPagerFile(path);
 
-  if (!replayed.ok() || replayed->legacy_text) {
-    // No journal to establish a durable prefix (bare pager file or legacy
-    // text manifest): the whole file is claimed, so every bad page counts.
-    report.legacy = replayed.ok() && replayed->legacy_text;
+  if (!replayed.ok()) {
+    // No journal to establish a durable prefix (bare pager file, or a
+    // manifest without the journal header): the whole file is claimed, so
+    // every bad page counts.
     report.corrupt_durable_pages =
         static_cast<uint32_t>(report.pager.bad_pages.size());
     return report;
@@ -329,12 +329,6 @@ FsckDocStoreReport FsckDocumentStore(const std::string& path) {
         replayed.status().code() == util::StatusCode::kNotFound && pager_exists;
     return report;
   }
-  if (replayed->legacy_text) {
-    report.manifest_status =
-        util::Status::Corruption("document store manifest is a legacy text "
-                                 "manifest (never written by the builder)");
-    return report;
-  }
 
   const ManifestReplayResult& journal = *replayed;
   report.durable_page_count = journal.durable_page_count;
@@ -493,7 +487,6 @@ std::string ToJson(const FsckCatalogReport& report) {
   out += "  },\n";
   out += "  \"manifest_status\": " +
          JsonQuote(report.manifest_status.ToString()) + ",\n";
-  out += "  \"legacy\": " + JsonBool(report.legacy) + ",\n";
   out += "  \"last_epoch\": " + std::to_string(report.last_epoch) + ",\n";
   out += "  \"max_epoch\": " + std::to_string(report.max_epoch) + ",\n";
   out += "  \"epoch_regressions\": " +

@@ -37,19 +37,14 @@ FsckReport FsckPagerFile(const std::string& path);
 ///     journal's durable prefix, or a data file shorter than that prefix;
 ///   - *crash artifacts* (interrupted-but-rolled-backable state): a torn
 ///     journal tail, pager pages past the durable prefix, leftover shadow
-///     files, a pre-journal text manifest. These are what RepairCatalog
-///     (or the next ViewCatalog::Open) cleans up.
+///     files. These are what RepairCatalog (or the next ViewCatalog::Open)
+///     cleans up.
 struct FsckCatalogReport {
   /// Page-level scan of the pager file (checksums, footers).
   FsckReport pager;
   /// Journal replay verdict: OK, kNotFound (no manifest), or kCorruption.
   util::Status manifest_status;
-  /// The journal held a pre-journal "VIEWJOINCAT" text manifest. Journal
-  /// cross-checks are skipped (the legacy format carries no epochs); the
-  /// next Open converts it.
-  bool legacy = false;
-
-  // -- Journal summary (valid when manifest_status is OK and !legacy) -------
+  // -- Journal summary (valid when manifest_status is OK) -------------------
   uint64_t last_epoch = 0;
   /// Epoch high-water mark over EVERY journal record, including records a
   /// rolled-back update batch undid — the value the epoch allocator resumes
@@ -106,7 +101,7 @@ struct FsckCatalogReport {
 
   /// Nothing wrong at all.
   bool clean() const {
-    return pager.ok() && manifest_status.ok() && !legacy && !corrupt() &&
+    return pager.ok() && manifest_status.ok() && !corrupt() &&
            !repair_needed();
   }
   /// Something validates as wrong (vs. merely interrupted).
@@ -122,7 +117,7 @@ struct FsckCatalogReport {
   bool repair_needed() const {
     return journal_tail_torn || orphan_pages > 0 || pager_tail_partial ||
            !orphan_shadows.empty() || !orphan_delta_files.empty() ||
-           rolled_back_update_batches > 0 || legacy;
+           rolled_back_update_batches > 0;
   }
 };
 
@@ -133,7 +128,7 @@ FsckCatalogReport FsckCatalog(const std::string& path);
 
 /// Repairs the crash artifacts FsckCatalog flags: opens the catalog (which
 /// runs startup recovery — truncating the torn journal tail and orphan
-/// pages, deleting orphan shadows, converting a legacy manifest), then
+/// pages, deleting orphan shadows), then
 /// checkpoints the journal and closes cleanly. Returns the recovery report
 /// describing what was done, or the error that prevented opening — genuine
 /// corruption (checksum-bad pages, missing committed data) is NOT repaired,

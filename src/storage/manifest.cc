@@ -17,7 +17,6 @@ using util::Status;
 using util::StatusOr;
 
 constexpr char kMagic[8] = {'V', 'J', 'M', 'A', 'N', 'I', 'F', 'J'};
-constexpr char kLegacyMagic[] = "VIEWJOINCAT";
 constexpr size_t kJournalHeaderSize = 16;
 
 // ---- Little-endian append/read helpers -------------------------------------
@@ -439,13 +438,6 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
 
   uint8_t header[kJournalHeaderSize];
   size_t got = std::fread(header, 1, sizeof(header), file);
-  if (got >= sizeof(kLegacyMagic) - 1 &&
-      std::memcmp(header, kLegacyMagic, sizeof(kLegacyMagic) - 1) == 0) {
-    std::fclose(file);
-    result.legacy_text = true;
-    result.valid_bytes = file_size;
-    return result;
-  }
   if (got != sizeof(header) ||
       std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     std::fclose(file);

@@ -77,9 +77,6 @@ struct ManifestReplayResult {
   /// regression means the epoch counter was reused after a faulty
   /// compaction; fsck reports this as corruption.
   uint64_t epoch_regressions = 0;
-  /// The file held a pre-journal plain-text manifest ("VIEWJOINCAT"); the
-  /// caller must parse it with the legacy loader and convert.
-  bool legacy_text = false;
   /// Format version from the journal header (1 = fixed-format lists only,
   /// 2 = versioned StoredList encoding with list format + page directory).
   /// Catalogs upgrade v1 journals wholesale via Checkpoint after open.
@@ -110,9 +107,8 @@ struct ManifestReplayResult {
 ///     mid-append): replay ignores it and reports tail_torn, recovery
 ///     truncates it away;
 ///   - a fully present record with a CRC mismatch is *corruption* (bit rot
-///     or tampering) and fails the replay with kCorruption;
-///   - a file beginning with the legacy text magic "VIEWJOINCAT" is flagged
-///     legacy_text for the caller to convert.
+///     or tampering) and fails the replay with kCorruption, as does any file
+///     without the journal header (a pre-journal text manifest included).
 ///
 /// Thread-safety: appends are serialized by an internal mutex; Replay and
 /// Checkpoint are static and operate on paths.
@@ -149,7 +145,7 @@ class ManifestJournal {
 
   /// Atomically replaces `path` with a compact journal holding exactly
   /// `records` (+ quarantine markers for `quarantined_epochs`), via
-  /// tmp file + fsync + rename. Used by checkpointing and by the legacy
+  /// tmp file + fsync + rename. Used by checkpointing and by the
   /// text-manifest conversion. The header write is fault-injectable.
   static util::Status WriteCheckpoint(
       const std::string& path, const std::vector<ManifestViewRecord>& records,

@@ -220,12 +220,6 @@ util::Status ViewCatalog::Checkpoint() {
   return util::Status::Ok();
 }
 
-void ViewCatalog::SaveManifest() {
-  VJ_CHECK(persistent_) << "SaveManifest requires a persistent catalog";
-  util::Status status = Checkpoint();
-  VJ_CHECK(status.ok()) << status.ToString();
-}
-
 ViewCatalog::BackupSnapshot ViewCatalog::SnapshotForBackup() {
   std::lock_guard<std::mutex> install_lock(install_mu_);
   BackupSnapshot snap;
@@ -346,34 +340,6 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
   report.orphan_shadows_removed =
       RemoveOrphanShadows(path, &report.orphan_delta_files_removed);
   report.rolled_back_update_batches = replay.rolled_back_update_batches;
-
-  if (replay.legacy_text) {
-    // Pre-journal text manifest: load with the legacy parser, then convert
-    // the store to the journal format in place.
-    auto catalog = std::unique_ptr<ViewCatalog>(new ViewCatalog(
-        path, pool_pages, /*persistent=*/true, Pager::Mode::kReopen));
-    if (!catalog->pager_->init_status().ok()) {
-      return catalog->pager_->init_status();
-    }
-    util::Status loaded = catalog->LoadLegacyManifest();
-    if (!loaded.ok()) return loaded;
-    uint32_t pages = catalog->pager_->page_count();
-    std::vector<ManifestViewRecord> records;
-    records.reserve(catalog->views_.size());
-    for (const auto& view : catalog->views_) {
-      records.push_back(catalog->RecordFor(*view, pages));
-    }
-    util::Status converted = ManifestJournal::WriteCheckpoint(
-        journal_path, records, {}, catalog->epoch());
-    if (!converted.ok()) return converted;
-    auto journal = ManifestJournal::OpenForAppend(journal_path,
-                                                  /*valid_bytes=*/-1);
-    if (!journal.ok()) return journal.status();
-    catalog->journal_ = std::move(*journal);
-    report.legacy_manifest_converted = true;
-    catalog->recovery_ = std::move(report);
-    return catalog;
-  }
 
   // Roll the pager file back to the journal's durable prefix *before* the
   // pager validates it: a crash between the data append and the journal
@@ -497,84 +463,6 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
 
   catalog->recovery_ = std::move(report);
   return catalog;
-}
-
-util::Status ViewCatalog::LoadLegacyManifest() {
-  const std::string path = pager_->path();
-  auto fail = [&path](const std::string& message) {
-    return MalformedManifest(path, message);
-  };
-  std::FILE* in = std::fopen((path + ".manifest").c_str(), "r");
-  if (in == nullptr) {
-    return util::Status::NotFound("missing manifest for " + path);
-  }
-  char magic[16];
-  int version = 0;
-  size_t num_views = 0;
-  bool ok = std::fscanf(in, "%15s %d %zu", magic, &version, &num_views) == 3 &&
-            std::string(magic) == "VIEWJOINCAT" && version == 1;
-  for (size_t v = 0; ok && v < num_views; ++v) {
-    auto view = std::make_unique<MaterializedView>();
-    int scheme = 0;
-    char pattern_buf[512];
-    ok = std::fscanf(in, " V %d %511s", &scheme, pattern_buf) == 2;
-    if (!ok) break;
-    std::optional<tpq::TreePattern> pattern =
-        tpq::TreePattern::Parse(pattern_buf);
-    if (!pattern.has_value()) {
-      ok = false;
-      break;
-    }
-    view->pattern_ = *pattern;
-    view->scheme_ = static_cast<Scheme>(scheme);
-    unsigned long long mc = 0, sb = 0, pc = 0;
-    ok = std::fscanf(in, " M %llu %llu %llu", &mc, &sb, &pc) == 3;
-    if (!ok) break;
-    view->match_count_ = mc;
-    view->size_bytes_ = sb;
-    view->pointer_count_ = pc;
-    ok = std::fscanf(in, " G") == 0;
-    for (size_t q = 0; ok && q < view->pattern_.size(); ++q) {
-      uint32_t len = 0;
-      ok = std::fscanf(in, "%u", &len) == 1;
-      view->list_lengths_.push_back(len);
-    }
-    size_t num_lists = 0;
-    ok = ok && std::fscanf(in, " L %zu", &num_lists) == 1;
-    auto load = [&](StoredList* list) {
-      uint32_t hp = 0;
-      return std::fscanf(in, "%u %u %u %u %u", &list->first_page,
-                         &list->count, &list->layout.label_count, &hp,
-                         &list->layout.child_count) == 5 &&
-             ((list->layout.has_pointers = hp != 0), true);
-    };
-    for (size_t i = 0; ok && i < num_lists; ++i) {
-      StoredList list;
-      ok = load(&list);
-      view->lists_.push_back(list);
-    }
-    ok = ok && load(&view->tuple_list_);
-    if (ok) {
-      view->epoch_ = AllocateEpoch();
-      views_.push_back(std::move(view));
-    }
-  }
-  std::fclose(in);
-  if (!ok) return fail("truncated or unparsable view records");
-  uint32_t pages = pager_->page_count();
-  for (const auto& view : views_) {
-    for (const StoredList& list : view->lists_) {
-      if (!ListInRange(list, pages)) {
-        return fail("view " + view->pattern_.ToString() +
-                    " references pages beyond the pager file");
-      }
-    }
-    if (!ListInRange(view->tuple_list_, pages)) {
-      return fail("view " + view->pattern_.ToString() +
-                  " references pages beyond the pager file");
-    }
-  }
-  return util::Status::Ok();
 }
 
 IoStats ViewCatalog::Stats() const {

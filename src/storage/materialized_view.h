@@ -109,8 +109,6 @@ struct RecoveryReport {
   /// Leftover shadow files (sealed or tmp) from interrupted installs that
   /// were deleted.
   int orphan_shadows_removed = 0;
-  /// A pre-journal plain-text manifest was converted to the journal format.
-  bool legacy_manifest_converted = false;
   /// Update batches whose commit record never landed: replay rolled their
   /// installs back wholesale and recovery truncated the half-applied suffix,
   /// so the store reopened at the pre-batch epoch with the pre-batch views.
@@ -166,10 +164,6 @@ class ViewCatalog {
   /// `persistent`. Journaled installs make this optional — it bounds journal
   /// growth and replay time, nothing more.
   util::Status Checkpoint();
-
-  /// Legacy spelling of Checkpoint() that dies on failure (setup-time
-  /// convenience, mirroring Materialize vs TryMaterialize).
-  void SaveManifest();
 
   /// Point-in-time image of the catalog's durable state, for the hot-backup
   /// module: install records for every live view, quarantined epochs, the
@@ -430,10 +424,6 @@ class ViewCatalog {
   /// The journal install record describing `view`.
   ManifestViewRecord RecordFor(const MaterializedView& view,
                                uint32_t page_count_after) const;
-
-  /// Parses a pre-journal "VIEWJOINCAT" text manifest into views_ (Open's
-  /// legacy path; the caller then converts the file to the journal format).
-  util::Status LoadLegacyManifest();
 
   uint64_t AllocateEpoch() {
     return epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;

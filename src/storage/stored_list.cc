@@ -1,45 +1,11 @@
 #include "storage/stored_list.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "storage/list_codec.h"
 
 namespace viewjoin::storage {
-namespace {
-
-// -1 = not yet resolved from the environment.
-std::atomic<int> g_cursor_mode{-1};
-
-}  // namespace
-
-CursorMode DefaultCursorMode() {
-  int mode = g_cursor_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    const char* env = std::getenv("VIEWJOIN_CURSOR");
-    CursorMode resolved = CursorMode::kBlock;
-    if (env != nullptr && *env != '\0') {
-      if (std::strcmp(env, "scalar") == 0) {
-        resolved = CursorMode::kScalar;
-      } else if (std::strcmp(env, "block") == 0) {
-        resolved = CursorMode::kBlock;
-      } else {
-        VJ_CHECK(false) << "VIEWJOIN_CURSOR must be \"scalar\" or \"block\", "
-                           "got \""
-                        << env << "\"";
-      }
-    }
-    mode = static_cast<int>(resolved);
-    g_cursor_mode.store(mode, std::memory_order_relaxed);
-  }
-  return static_cast<CursorMode>(mode);
-}
-
-void SetDefaultCursorMode(CursorMode mode) {
-  g_cursor_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 void ListCursor::EnsureBlock(EntryIndex i, uint32_t wanted) const {
   VJ_DCHECK(list_ != nullptr && i < list_->count);
@@ -86,8 +52,7 @@ void ListCursor::EnsureBlock(EntryIndex i, uint32_t wanted) const {
   // De-interleave the requested field classes of the fixed page into their
   // SoA arrays — one strided pass per array, only for arrays actually
   // wanted. A poison page (pool read failure) is 0xFF-filled, which these
-  // passes faithfully decode into the same 0xFFFFFFFF sentinels the scalar
-  // path reads.
+  // passes faithfully decode into 0xFFFFFFFF sentinels.
   const uint8_t* payload = pin_.data();
   const uint32_t record_size = layout.RecordSize();
   const uint32_t n = block_.count;
@@ -134,34 +99,20 @@ void ListCursor::MaybeReadAhead(uint32_t page) const {
 
 uint32_t ListCursor::StartAt(EntryIndex i) const {
   if (mem_labels_ != nullptr) return mem_labels_[i].start;
-  if (UseBlocks()) {
-    EnsureBlock(i, 0);
-    if ((block_.fields & kStartsField) != 0) {
-      return block_.starts[(i - block_.first) * list_->layout.label_count];
-    }
-    return FixedFieldAt(i - block_.first, 0);
+  EnsureBlock(i, 0);
+  if ((block_.fields & kStartsField) != 0) {
+    return block_.starts[(i - block_.first) * list_->layout.label_count];
   }
-  PageId page = list_->PageOf(i);
-  if (!pin_.valid() || pin_.page() != page) pin_ = pool_->GetPage(page);
-  uint32_t start;
-  std::memcpy(&start, pin_.data() + list_->OffsetOf(i), 4);
-  return start;
+  return FixedFieldAt(i - block_.first, 0);
 }
 
 uint32_t ListCursor::EndAt(EntryIndex i) const {
   if (mem_labels_ != nullptr) return mem_labels_[i].end;
-  if (UseBlocks()) {
-    EnsureBlock(i, 0);
-    if ((block_.fields & kEndsField) != 0) {
-      return block_.ends[(i - block_.first) * list_->layout.label_count];
-    }
-    return FixedFieldAt(i - block_.first, 4);
+  EnsureBlock(i, 0);
+  if ((block_.fields & kEndsField) != 0) {
+    return block_.ends[(i - block_.first) * list_->layout.label_count];
   }
-  PageId page = list_->PageOf(i);
-  if (!pin_.valid() || pin_.page() != page) pin_ = pool_->GetPage(page);
-  uint32_t end;
-  std::memcpy(&end, pin_.data() + list_->OffsetOf(i) + 4, 4);
-  return end;
+  return FixedFieldAt(i - block_.first, 4);
 }
 
 }  // namespace viewjoin::storage

@@ -362,7 +362,7 @@ TEST(BackupDifferentialTest, HotBackupUnderLoadMatchesPinnedEpochOnFig5) {
   });
   std::vector<std::string> query_failures;
   std::thread querier([&] {
-    Engine::Session session(&engine, 1);
+    Engine::Session session(&engine);
     const Expected& e = expectations.front();
     std::vector<const MaterializedView*> views;
     for (const std::string& pattern : e.view_patterns) {

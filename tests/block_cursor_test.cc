@@ -1,7 +1,7 @@
 // Block-at-a-time cursor tests: the SIMD scan kernels against scalar
 // references, the overflow-safe gallop helper, the delta codec round trip,
-// randomized differential checks of every cursor mode × list format against
-// the original scalar/fixed path, the wide-fan-out materialization guard,
+// randomized differential checks of fixed, delta and memory cursors against
+// the naive evaluator's solution lists, the wide-fan-out materialization guard,
 // abort soundness of the skip primitives, and fsck's verification of the
 // compressed list format.
 
@@ -22,13 +22,13 @@
 #include "storage/simd_scan.h"
 #include "storage/stored_list.h"
 #include "tests/test_util.h"
+#include "tpq/evaluator.h"
 #include "util/rng.h"
 
 namespace viewjoin {
 namespace {
 
 using storage::BufferPool;
-using storage::CursorMode;
 using storage::EntryIndex;
 using storage::GallopLowerBound;
 using storage::GallopResult;
@@ -48,20 +48,6 @@ using xml::Label;
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + name;
 }
-
-/// Restores the process-wide cursor mode on scope exit; cursors capture the
-/// mode at construction, so every cursor under test is built inside one.
-class ScopedCursorMode {
- public:
-  explicit ScopedCursorMode(CursorMode mode)
-      : saved_(storage::DefaultCursorMode()) {
-    storage::SetDefaultCursorMode(mode);
-  }
-  ~ScopedCursorMode() { storage::SetDefaultCursorMode(saved_); }
-
- private:
-  CursorMode saved_;
-};
 
 // ---- SIMD scan kernels ------------------------------------------------------
 
@@ -267,7 +253,7 @@ TEST(DeltaCodecTest, GarbagePageIsRejectedNotMisdecoded) {
                    .ok());
 }
 
-// ---- Differential: every mode × format against scalar/fixed ----------------
+// ---- Differential: every list format against the oracle ---------------------
 
 struct CursorStore {
   std::unique_ptr<ViewCatalog> catalog;
@@ -283,7 +269,7 @@ CursorStore BuildStore(const xml::Document& doc, const char* path,
   return store;
 }
 
-TEST(BlockCursorTest, AllModesAndFormatsAgreeWithScalarFixed) {
+TEST(BlockCursorTest, FixedDeltaAndMemoryCursorsAgreeWithOracle) {
   util::Rng rng(23);
   for (uint64_t seed : {1u, 2u, 3u}) {
     util::Rng doc_rng(seed);
@@ -295,33 +281,39 @@ TEST(BlockCursorTest, AllModesAndFormatsAgreeWithScalarFixed) {
           BuildStore(doc, "diff_fixed.db", ListFormat::kFixed, scheme);
       CursorStore delta =
           BuildStore(doc, "diff_delta.db", ListFormat::kDelta, scheme);
-      const StoredList* ref_list = &fixed.view->list(1);  // the b list
-      ASSERT_GT(ref_list->count, 0u);
-      const uint32_t n = ref_list->count;
 
-      // Reference answers from the original scalar path over fixed pages.
-      std::vector<Label> labels(n);
-      std::vector<EntryIndex> follows(n);
-      {
-        ScopedCursorMode scalar(CursorMode::kScalar);
-        ListCursor ref(ref_list, fixed.catalog->pool());
-        for (uint32_t i = 0; i < n; ++i, ref.Next()) {
-          labels[i] = ref.LabelAt();
-          follows[i] = ref.Following();
+      // Reference labels: the naive evaluator's b solutions, in document
+      // order. Reference following pointers, brute force: the first later
+      // entry starting after this one ends (LE_p drops adjacent targets).
+      const tpq::TreePattern view_pattern = MustParse("//a//b");
+      const std::vector<std::vector<xml::NodeId>> solutions =
+          tpq::NaiveEvaluator(doc, view_pattern).SolutionNodes();
+      std::vector<Label> labels;
+      for (xml::NodeId node : solutions[1]) {
+        labels.push_back(doc.NodeLabel(node));
+      }
+      const uint32_t n = static_cast<uint32_t>(labels.size());
+      ASSERT_GT(n, 0u);
+      ASSERT_EQ(fixed.view->list(1).count, n);
+      std::vector<EntryIndex> follows(n, kNullEntry);
+      for (uint32_t i = 0; i < n; ++i) {
+        for (uint32_t j = i + 1; j < n; ++j) {
+          if (labels[j].start > labels[i].end) {
+            follows[i] = j;
+            break;
+          }
+        }
+        if (scheme == Scheme::kLinkedElementPartial && follows[i] == i + 1) {
+          follows[i] = kNullEntry;
         }
       }
 
-      // Memory-backed cursor participates in the label differential.
-      std::vector<Label> mem_copy = labels;
-
       auto never = [](uint32_t) { return false; };
-      for (int variant = 0; variant < 3; ++variant) {
-        CursorMode mode =
-            variant == 1 ? CursorMode::kScalar : CursorMode::kBlock;
-        const CursorStore& store = variant == 0 ? fixed : delta;
-        ScopedCursorMode scoped(mode);
-        ListCursor cursor(&store.view->list(1), store.catalog->pool());
-        ListCursor mem(mem_copy.data(), n);
+      for (const CursorStore* store : {&fixed, &delta}) {
+        const int variant = store == &fixed ? 0 : 1;
+        ListCursor cursor(&store->view->list(1), store->catalog->pool());
+        // The memory-backed cursor participates in the label differential.
+        ListCursor mem(labels.data(), n);
 
         // Sequential labels + pointers.
         for (uint32_t i = 0; i < n; ++i, cursor.Next()) {

@@ -4,16 +4,18 @@
 // store, and asserts recovery leaves exactly the committed catalog: no
 // orphan shadow files, no uncommitted pages, identical query answers, and
 // the interrupted view re-queued for rebuilding. Around the matrix: manifest
-// journal torn-tail vs. bit-rot handling, legacy manifest conversion, the
+// journal torn-tail vs. bit-rot handling, refusal of text manifests, the
 // integrity scrubber (detect + heal, alone and under concurrent batch
 // queries), close-time flush surfacing, and the offline fsck/repair pipeline.
 
 #include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -307,68 +309,41 @@ TEST(ManifestJournalTest, MidFileCorruptionIsFatal) {
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
 }
 
-TEST(ManifestJournalTest, LegacyTextManifestIsConverted) {
+TEST(ManifestJournalTest, TextManifestIsRefused) {
+  // A "VIEWJOINCAT" plain-text manifest predates the journal. No store in
+  // that format exists, so it gets no converter: it is a file without the
+  // journal header, refused typed by Open and reported corrupt by fsck.
   xml::Document doc = CrashDoc();
-  std::string path = TempPath("legacy.db");
+  std::string path = TempPath("text_manifest.db");
   CleanupStore(path);
-  uint64_t match_count = 0, size_bytes = 0;
-  std::string legacy_text;
   {
     ViewCatalog catalog(path, 64, /*persistent=*/true);
-    const MaterializedView* view =
-        catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
-    match_count = view->MatchCount();
-    size_bytes = view->SizeBytes();
-    // Render the store's manifest the way the pre-journal code did, from the
-    // live view's real stored-list coordinates.
-    char buf[512];
-    legacy_text = "VIEWJOINCAT 1 1\n";
-    std::snprintf(buf, sizeof(buf), "V %d %s\n",
-                  static_cast<int>(view->scheme()),
-                  view->pattern().ToString().c_str());
-    legacy_text += buf;
-    std::snprintf(buf, sizeof(buf), "M %llu %llu %llu\nG",
-                  static_cast<unsigned long long>(view->MatchCount()),
-                  static_cast<unsigned long long>(view->SizeBytes()),
-                  static_cast<unsigned long long>(view->PointerCount()));
-    legacy_text += buf;
-    for (size_t q = 0; q < view->pattern().size(); ++q) {
-      std::snprintf(buf, sizeof(buf), " %u",
-                    view->ListLength(static_cast<int>(q)));
-      legacy_text += buf;
-    }
-    std::snprintf(buf, sizeof(buf), "\nL %zu\n", view->lists().size());
-    legacy_text += buf;
-    auto list_line = [&](const storage::StoredList& list) {
-      std::snprintf(buf, sizeof(buf), "%u %u %u %u %u\n", list.first_page,
-                    list.count, list.layout.label_count,
-                    list.layout.has_pointers ? 1 : 0, list.layout.child_count);
-      legacy_text += buf;
-    };
-    for (const storage::StoredList& list : view->lists()) list_line(list);
-    list_line(view->tuple_list());
+    catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
+    ASSERT_TRUE(catalog.Close().ok());
   }
   {
     std::FILE* f = std::fopen((path + ".manifest").c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs(legacy_text.c_str(), f);
+    std::fputs("VIEWJOINCAT 1 1\nV 0 //a//b\nM 1 12 0\nG 1 1\nL 2\n", f);
     std::fclose(f);
   }
   auto opened = ViewCatalog::Open(path, 64);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_TRUE((*opened)->recovery_report().legacy_manifest_converted);
-  ASSERT_EQ((*opened)->views().size(), 1u);
-  const MaterializedView* view = (*opened)->views()[0].get();
-  EXPECT_EQ(view->MatchCount(), match_count);
-  EXPECT_EQ(view->SizeBytes(), size_bytes);
-  EXPECT_TRUE((*opened)->VerifyView(view).ok());
-  EXPECT_TRUE((*opened)->Close().ok());
-  // The conversion rewrote the file in journal format: a second open takes
-  // the binary path.
-  auto again = ViewCatalog::Open(path, 64);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_FALSE((*again)->recovery_report().legacy_manifest_converted);
-  EXPECT_EQ((*again)->views().size(), 1u);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(opened.status().message().find("bad or truncated header"),
+            std::string::npos)
+      << opened.status().ToString();
+
+  FsckCatalogReport report = FsckCatalog(path);
+  EXPECT_EQ(report.manifest_status.code(), StatusCode::kCorruption);
+  EXPECT_TRUE(report.corrupt());
+  EXPECT_FALSE(report.clean());
+  // The command-line verdict: exit 1 (corrupt), not 0 and not an empty OK.
+  const std::string command =
+      std::string(VJ_FSCK_BIN) + " --quiet " + path;
+  int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << command;
 }
 
 TEST(ManifestJournalTest, CheckpointSurvivesHeaderShortWrite) {

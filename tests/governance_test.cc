@@ -238,10 +238,10 @@ TEST_F(SlowGovernanceTest, BatchWatchdogFiresPerQueryDeadlines) {
   EXPECT_EQ(results[1].match_count, static_cast<uint64_t>(kGroups));
   EXPECT_EQ(results[1].result_hash, clean_->result_hash);
   EXPECT_EQ(engine.catalog()->pool()->pinned_frames(), 0u);
-  // Worker spill spools are per-call scratch: gone as soon as the batch
+  // Session spill spools are per-call scratch: gone as soon as the batch
   // returns, even though query 0 was killed mid-flight.
-  EXPECT_FALSE(Exists(path + ".spill.0"));
-  EXPECT_FALSE(Exists(path + ".spill.1"));
+  EXPECT_EQ(testing::SiblingFiles(path, ".session."),
+            std::vector<std::string>{});
 }
 
 // ---- Budgets ---------------------------------------------------------------
@@ -371,7 +371,7 @@ TEST(BatchRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
     fi->ArmReadFault(/*nth=*/1, /*count=*/-1);
     BatchOptions options;
     options.threads = 1;
-    options.max_retries = 0;
+    options.retry.max_retries = 0;
     options.run.allow_base_fallback = false;
     std::vector<RunResult> results =
         engine.ExecuteBatch({BatchQuery{&query, views}}, options);
@@ -392,8 +392,8 @@ TEST(BatchRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
     fi->ArmReadFault(/*nth=*/1, /*count=*/static_cast<int>(consumed));
     BatchOptions options;
     options.threads = 1;
-    options.max_retries = 5;
-    options.retry_backoff_ms = 0.1;
+    options.retry.max_retries = 5;
+    options.retry.backoff_ms = 0.1;
     options.run.allow_base_fallback = false;
     std::vector<RunResult> results =
         engine.ExecuteBatch({BatchQuery{&query, views}}, options);
@@ -413,7 +413,7 @@ TEST(BatchRetryTest, DeterministicFailuresAreNeverRetried) {
       engine.AddView("//a//b", Scheme::kLinkedElement)};
   BatchOptions options;
   options.threads = 1;
-  options.max_retries = 5;
+  options.retry.max_retries = 5;
   std::vector<RunResult> results =
       engine.ExecuteBatch({BatchQuery{&query, bad}}, options);
   ASSERT_FALSE(results[0].ok);
@@ -442,9 +442,9 @@ TEST(BatchRetryTest, RetryBackoffIsJitteredNotADeterministicLadder) {
   fi->ArmReadFault(/*nth=*/1, /*count=*/-1);  // permanently dead disk
   BatchOptions options;
   options.threads = 2;
-  options.max_retries = 4;
-  options.retry_backoff_ms = 1.0;
-  options.retry_backoff_cap_ms = 8.0;
+  options.retry.max_retries = 4;
+  options.retry.backoff_ms = 1.0;
+  options.retry.backoff_cap_ms = 8.0;
   options.run.allow_base_fallback = false;
   std::vector<BatchQuery> batch(4, BatchQuery{&query, views});
   std::vector<RunResult> results = engine.ExecuteBatch(batch, options);

@@ -56,7 +56,7 @@ TEST(PersistenceTest, ManifestRoundTripPreservesViews) {
     tpq::HashingSink fresh;
     ts.Evaluate(&fresh);
     fresh_hash = fresh.hash();
-    catalog.SaveManifest();
+    ASSERT_TRUE(catalog.Checkpoint().ok());
   }
   auto opened = ViewCatalog::Open(path, 64);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -103,9 +103,9 @@ TEST(PersistenceTest, OpenRejectsCorruptManifest) {
   {
     ViewCatalog catalog(path, 16, /*persistent=*/true);
     catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
-    catalog.SaveManifest();
+    ASSERT_TRUE(catalog.Checkpoint().ok());
   }
-  // Truncate the manifest mid-way.
+  // Overwrite the manifest with garbage that lacks the journal header.
   {
     std::FILE* w = std::fopen((path + ".manifest").c_str(), "w");
     ASSERT_NE(w, nullptr);
@@ -115,7 +115,9 @@ TEST(PersistenceTest, OpenRejectsCorruptManifest) {
   auto opened = ViewCatalog::Open(path, 16);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(opened.status().message().find("malformed"), std::string::npos);
+  EXPECT_NE(opened.status().message().find("bad or truncated header"),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST(PersistenceTest, OpenRejectsManifestPointingPastFile) {
@@ -124,7 +126,7 @@ TEST(PersistenceTest, OpenRejectsManifestPointingPastFile) {
   {
     ViewCatalog catalog(path, 16, /*persistent=*/true);
     catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
-    catalog.SaveManifest();
+    ASSERT_TRUE(catalog.Checkpoint().ok());
   }
   // Rewrite the manifest so a list claims a first page beyond the pager file.
   {

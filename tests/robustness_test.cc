@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -594,10 +593,10 @@ TEST(BatchFaultIsolationTest, CancelDuringQuarantineRecoveryLeaksNothing) {
   EXPECT_GE(engine.catalog()->quarantined_count(), 1u);
   ASSERT_FALSE(results[0].quarantined_views.empty());
   EXPECT_EQ(results[0].quarantined_views[0], "//b");
-  // No pins survive the abort and the worker spill spools are gone.
+  // No pins survive the abort and the session spill spools are gone.
   EXPECT_EQ(engine.catalog()->pool()->pinned_frames(), 0u);
-  EXPECT_FALSE(std::filesystem::exists(path + ".spill.0"));
-  EXPECT_FALSE(std::filesystem::exists(path + ".spill.1"));
+  EXPECT_EQ(testing::SiblingFiles(path, ".session."),
+            std::vector<std::string>{});
   // Siblings were untouched by both the fault and the cancellation.
   for (size_t i = 1; i < 3; ++i) {
     ASSERT_TRUE(results[i].ok) << "sibling " << i << ": " << results[i].error;

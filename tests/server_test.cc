@@ -625,6 +625,50 @@ TEST(DrainTest, DrainDeadlineAbortsStuckQueries) {
   }
 }
 
+TEST(DrainTest, DrainDeadlineFiresDuringRetryBackoff) {
+  // Every attempt fails retryable on a dead disk, and the sleep hook holds
+  // the session in backoff while the drain budget runs out. The drain's
+  // abort lands during the sleep — where the next attempt's reset used to
+  // clear it — so it must be kept: the query ends kCancelled instead of
+  // retrying on, and Drain() returns.
+  std::atomic<int> sleeps{0};
+  Engine::SetRetrySleepHookForTest([&](double) {
+    sleeps.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  });
+  util::ScopedFaultInjection fi;
+  ServerOptions options;
+  options.drain_deadline_ms = 20;
+  options.max_retries = 50;
+  {
+    Fixture fx(100, options, {}, "drain_backoff.db");
+    {
+      Client warm = fx.Connected();  // materializes the views on first use
+      util::StatusOr<QueryResponse> warmed = warm.Query(GroupRequest());
+      ASSERT_TRUE(warmed.ok() && warmed->verdict == Verdict::kOk);
+    }
+    fx.engine->catalog()->DropCaches();
+    fi->ArmReadFault(/*nth=*/1, /*count=*/-1);
+
+    util::StatusOr<QueryResponse> response =
+        util::Status::IoError("never ran");
+    std::thread querier([&] {
+      Client client = fx.Connected();
+      client.set_deadline_ms(60000);
+      response = client.Query(GroupRequest());
+    });
+    while (sleeps.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_FALSE(fx.server->Drain());  // forced: the query was aborted
+    querier.join();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->verdict, Verdict::kCancelled) << response->error;
+    EXPECT_LT(sleeps.load(), 5);
+  }
+  Engine::SetRetrySleepHookForTest(nullptr);
+}
+
 TEST(DrainTest, HardKillUnblocksAPatientDrain) {
   ServerOptions options;
   options.drain_deadline_ms = 600000;  // patient enough to need the kill
@@ -691,6 +735,52 @@ TEST(DrainTest, DrainIsIdempotentAndSafeFromConcurrentCallers) {
   EXPECT_TRUE(results[1]);
   EXPECT_TRUE(results[2]);
   EXPECT_TRUE(fx.server->Drain());  // and again, long after
+}
+
+// ---- The engine's deadline timer -------------------------------------------
+
+TEST(DeadlineTimerTest, BatchAndServerSessionTimeOutThroughTheEngineTimer) {
+  // One engine, two executors: a server session and an ExecuteBatch session
+  // run concurrently, cold, with 1 ms deadlines. Both must time out. The
+  // first slow checkpoint is thousands of entries (several simulated 8 ms
+  // page reads) away, so a batch result with zero checkpoints was stopped
+  // by the engine's timer while its worker sat in a page read.
+  Fixture fx(kSlowGroups, {}, {}, "deadline_timer.db");
+  QueryRequest request = GroupRequest();
+  request.deadline_ms = 1;
+  {
+    Client warm = fx.Connected();  // materializes the views on first use
+    util::StatusOr<QueryResponse> warmed = warm.Query(request);
+    ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
+  }
+  storage::ViewCatalog* catalog = fx.engine->catalog();
+  core::BatchQuery batch_query;
+  tpq::TreePattern query = testing::MustParse("//a//b//c");
+  batch_query.query = &query;
+  batch_query.views = {
+      catalog->FindView("//a//b", storage::Scheme::kLinkedElement),
+      catalog->FindView("//c", storage::Scheme::kLinkedElement)};
+  ASSERT_NE(batch_query.views[0], nullptr);
+  ASSERT_NE(batch_query.views[1], nullptr);
+  catalog->DropCaches();
+
+  util::StatusOr<QueryResponse> response = util::Status::IoError("never ran");
+  std::thread querier([&] {
+    Client client = fx.Connected();
+    response = client.Query(request);
+  });
+  core::BatchOptions options;
+  options.run.deadline_ms = 1;
+  options.run.cold_cache = false;  // a server session shares the pool
+  std::vector<core::RunResult> results =
+      fx.engine->ExecuteBatch({batch_query}, options);
+  querier.join();
+
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].timed_out) << results[0].error;
+  EXPECT_EQ(results[0].checkpoints, 0u);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->verdict, Verdict::kTimeout) << response->error;
 }
 
 // ---- Live-document updates over the wire -----------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 
 namespace viewjoin::testing {
 
@@ -192,6 +193,19 @@ std::vector<TreePattern> RandomViewPartition(util::Rng* rng,
     if (!view.empty()) result.push_back(std::move(view));
   }
   return result;
+}
+
+std::vector<std::string> SiblingFiles(const std::string& path,
+                                      const std::string& infix) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + infix;
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) == 0) found.push_back(name);
+  }
+  return found;
 }
 
 }  // namespace viewjoin::testing

@@ -43,6 +43,12 @@ std::vector<tpq::TreePattern> RandomViewPartition(util::Rng* rng,
                                                   const tpq::TreePattern& query,
                                                   int max_views);
 
+/// Files next to `path` whose names extend its file name by `infix` and
+/// more (e.g. infix ".session." finds "<path>.session.<n>"): the scratch a
+/// test expects to be gone.
+std::vector<std::string> SiblingFiles(const std::string& path,
+                                      const std::string& infix);
+
 }  // namespace viewjoin::testing
 
 #endif  // VIEWJOIN_TESTS_TEST_UTIL_H_

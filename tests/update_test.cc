@@ -20,6 +20,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -27,6 +28,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/query_binding.h"
@@ -617,8 +619,8 @@ TEST(EngineUpdateTest, ConcurrentQueriesSeeConsistentSnapshots) {
   std::mutex failures_mu;
   std::vector<std::string> failures;
   std::atomic<bool> stop{false};
-  auto reader = [&](size_t id) {
-    Engine::Session session(&engine, id);
+  auto reader = [&] {
+    Engine::Session session(&engine);
     RunOptions run;
     run.cold_cache = false;
     int iterations = 0;
@@ -639,7 +641,7 @@ TEST(EngineUpdateTest, ConcurrentQueriesSeeConsistentSnapshots) {
       if (iterations > 500) break;
     }
   };
-  std::thread t1(reader, 1), t2(reader, 2);
+  std::thread t1(reader), t2(reader);
 
   for (size_t b = 0; b < parent_starts.size(); ++b) {
     UpdateOp op;
@@ -661,6 +663,120 @@ TEST(EngineUpdateTest, ConcurrentQueriesSeeConsistentSnapshots) {
   ASSERT_TRUE(final_run.ok) << final_run.error;
   EXPECT_EQ(final_run.match_count, NaiveEvaluator(doc, query).Count());
   EXPECT_EQ(final_run.match_count, NaiveEvaluator(mirror, query).Count());
+}
+
+// A query must pair the document, the document store and the views of one
+// epoch. Each batch below inserts one a(b(c)) group and deletes another, so
+// the match count is the same before and after it — but a query that
+// resolved the previous epoch's view labels against the mutated document
+// drops the deleted group's match and answers neither epoch. Every reply's
+// (count, hash) must equal the naive oracle at some batch boundary.
+TEST(EngineUpdateTest, ConcurrentDiskModeQueriesMatchAnEpochOracle) {
+  constexpr int kGroups = 200;
+  constexpr size_t kBatches = 24;
+  std::string spec = "r(";
+  for (int i = 0; i < kGroups; ++i) spec += "a(b(c)) ";
+  spec += ")";
+  xml::Document doc = MakeDoc(spec);
+  ASSERT_TRUE(doc.RelabelWithGap(64).ok());
+  xml::Document mirror = MakeDoc(spec);
+  ASSERT_TRUE(mirror.RelabelWithGap(64).ok());
+
+  const TreePattern query = MustParse("//a//b//c");
+  const xml::SubtreeSpec frag_spec =
+      xml::SpecFromDocument(MakeDoc("a(b(c))"));
+  const xml::TagId r_tag = mirror.FindTag("r");
+  const xml::TagId a_tag = mirror.FindTag("a");
+  const uint32_t root_start = mirror.NodeLabel(mirror.Root()).start;
+
+  // Batch b grafts a group after a[2b] and deletes a[2b+1], addressed by
+  // pre-batch labels. The mirror applies the same calls in the same order,
+  // so its NodeIds — and hence its match hashes — equal the engine's.
+  std::vector<std::vector<UpdateOp>> batches;
+  auto oracle = [&] {
+    tpq::HashingSink sink;
+    NaiveEvaluator(mirror, query).Evaluate(&sink);
+    return std::make_pair(sink.count(), sink.hash());
+  };
+  std::set<std::pair<uint64_t, uint64_t>> allowed = {oracle()};
+  std::vector<xml::NodeId> groups = mirror.NodesOfTag(a_tag);
+  for (size_t b = 0; b < kBatches; ++b) {
+    const xml::NodeId after = groups[2 * b];
+    const xml::NodeId victim = groups[2 * b + 1];
+    UpdateOp insert;
+    insert.kind = UpdateOp::Kind::kInsertSubtree;
+    insert.target_tag = "r";
+    insert.target_start = root_start;
+    insert.after_tag = "a";
+    insert.after_start = mirror.NodeLabel(after).start;
+    insert.subtree = frag_spec;
+    UpdateOp remove;
+    remove.kind = UpdateOp::Kind::kDeleteSubtree;
+    remove.target_tag = "a";
+    remove.target_start = mirror.NodeLabel(victim).start;
+    batches.push_back({insert, remove});
+
+    ASSERT_TRUE(mirror
+                    .InsertSubtree(frag_spec,
+                                   mirror.FindByStart(r_tag, root_start), after)
+                    .ok());
+    ASSERT_TRUE(mirror.DeleteSubtree(victim).ok());
+    allowed.insert(oracle());
+  }
+  ASSERT_EQ(allowed.size(), kBatches + 1);  // equal counts, distinct hashes
+
+  const std::string path = TempPath("update_concurrent_disk.db");
+  CleanupStore(path);
+  EngineOptions options;
+  options.doc_mode = core::DocMode::kDisk;
+  Engine engine(&doc, path, options);
+  ASSERT_NE(engine.doc_store(), nullptr) << engine.doc_store_status().ToString();
+  const MaterializedView* v1 =
+      engine.AddView("//a//b", Scheme::kLinkedElement);
+  const MaterializedView* v2 = engine.AddView("//c", Scheme::kLinkedElement);
+
+  std::mutex failures_mu;
+  std::vector<std::string> failures;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> replies{0};
+  auto reader = [&] {
+    Engine::Session session(&engine);
+    RunOptions run;
+    run.algorithm = core::Algorithm::kViewJoin;
+    while (!stop.load(std::memory_order_acquire)) {
+      RunResult r = session.Run(query, {v1, v2}, run);
+      replies.fetch_add(1, std::memory_order_relaxed);
+      std::string problem;
+      if (!r.ok) {
+        problem = "query failed: " + r.error;
+      } else if (allowed.count({r.match_count, r.result_hash}) == 0) {
+        problem = "reply matches no epoch: match_count " +
+                  std::to_string(r.match_count);
+      }
+      if (!problem.empty()) {
+        std::lock_guard<std::mutex> lock(failures_mu);
+        failures.push_back(problem);
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 3; ++i) readers.emplace_back(reader);
+  for (const std::vector<UpdateOp>& batch : batches) {
+    auto result = engine.ApplyUpdates(batch);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->applied, 2u);
+    EXPECT_FALSE(result->relabeled);
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  for (const std::string& f : failures) ADD_FAILURE() << f;
+  EXPECT_GT(replies.load(), kBatches);
+
+  RunResult final_run = engine.Execute(query, {v1, v2});
+  ASSERT_TRUE(final_run.ok) << final_run.error;
+  EXPECT_EQ(std::make_pair(final_run.match_count, final_run.result_hash),
+            oracle());
 }
 
 // ---- Update crash matrix ----------------------------------------------------

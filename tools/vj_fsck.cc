@@ -25,7 +25,7 @@
 //      journal CRC mismatch, or journal/data inconsistency)
 //   2  usage error, or the file could not be read at all (missing, I/O)
 //   3  crash artifacts found (torn journal tail, uncommitted pages, orphan
-//      shadows, legacy manifest, aborted doc-store builds) — recoverable;
+//      shadows, aborted doc-store builds) — recoverable;
 //      with --repair they were repaired and the store is clean again
 //   4  the BASE DOCUMENT store is corrupt (and the view catalog, if any, is
 //      not) — a different failure domain: views rebuild from the document,
@@ -271,14 +271,12 @@ int main(int argc, char** argv) {
   if (!quiet && !json) {
     for (const auto& [page, status] : report.pager.bad_pages) {
       const char* where =
-          !report.legacy && page >= report.durable_page_count ? " (orphan)"
-                                                              : "";
+          page >= report.durable_page_count ? " (orphan)" : "";
       std::printf("page %u%s: %s\n", page, where, status.ToString().c_str());
     }
     if (!report.manifest_status.ok()) {
       std::printf("manifest: %s\n", report.manifest_status.ToString().c_str());
     }
-    if (report.legacy) std::printf("manifest: legacy text format\n");
     if (report.journal_tail_torn) std::printf("manifest: torn tail\n");
     if (report.data_missing) {
       std::printf("data file shorter than journal's durable prefix (%u pages)\n",
@@ -339,15 +337,12 @@ int main(int argc, char** argv) {
   }
   if (!quiet) {
     std::printf("repaired: %s%u orphan page(s) truncated, "
-                "%d orphan shadow(s) removed, %zu view(s) pending rebuild%s\n",
+                "%d orphan shadow(s) removed, %zu view(s) pending rebuild\n",
                 repaired->journal_tail_truncated ? "journal tail truncated, "
                                                  : "",
                 repaired->orphan_pages_truncated,
                 repaired->orphan_shadows_removed,
-                repaired->pending_rebuild.size(),
-                repaired->legacy_manifest_converted
-                    ? ", legacy manifest converted"
-                    : "");
+                repaired->pending_rebuild.size());
   }
   return CombineExit(3, doc_exit);
 }
