@@ -2,11 +2,10 @@
 //
 // Three sections, one row group each in the JSON report:
 //   1. recovery — a persistent store of XMark path views is crashed at every
-//      install crash point (shadow staged / shadow sealed / data synced /
-//      journal torn) via the fault injector, then reopened; the row records
-//      the wall time of ViewCatalog::Open (journal replay + rollback +
-//      shadow cleanup) and what recovery did. A clean-close reopen is the
-//      baseline row.
+//      install crash point (data synced / journal torn) via the fault
+//      injector, then reopened; the row records the wall time of
+//      ViewCatalog::Open (journal replay + rollback) and what recovery did.
+//      A clean-close reopen is the baseline row.
 //   2. scrub — one synchronous full scrubber pass over the store, reported
 //      as pages/second of checksum verification throughput.
 //   3. scrub_overhead — the same query batch with the background scrubber
@@ -70,18 +69,14 @@ void BenchRecovery(const xml::Document& doc, JsonReport* report) {
     VJ_CHECK(catalog.Close().ok());
   }
 
-  util::TablePrinter table({"crash point", "open (ms)", "views", "rolled back",
-                            "orphan pages", "shadows removed"});
+  util::TablePrinter table(
+      {"crash point", "open (ms)", "views", "rolled back", "orphan pages"});
   struct Case {
     const char* label;
     CrashPoint point;
   };
   const Case cases[] = {
       {"clean close", CrashPoint::kNone},
-      {CrashPointName(CrashPoint::kCrashBeforeRename),
-       CrashPoint::kCrashBeforeRename},
-      {CrashPointName(CrashPoint::kCrashAfterRename),
-       CrashPoint::kCrashAfterRename},
       {CrashPointName(CrashPoint::kCrashAfterDataSync),
        CrashPoint::kCrashAfterDataSync},
       {CrashPointName(CrashPoint::kCrashMidJournal),
@@ -112,8 +107,7 @@ void BenchRecovery(const xml::Document& doc, JsonReport* report) {
     table.AddRow({c.label, util::FormatDouble(open_ms, 2),
                   std::to_string(catalog.views().size()),
                   std::to_string(recovery.pending_rebuild.size()),
-                  std::to_string(recovery.orphan_pages_truncated),
-                  std::to_string(recovery.orphan_shadows_removed)});
+                  std::to_string(recovery.orphan_pages_truncated)});
     report->AddRow()
         .Set("section", "recovery")
         .Set("crash_point", c.label)
@@ -123,7 +117,6 @@ void BenchRecovery(const xml::Document& doc, JsonReport* report) {
              static_cast<uint64_t>(recovery.pending_rebuild.size()))
         .Set("orphan_pages_truncated",
              static_cast<uint64_t>(recovery.orphan_pages_truncated))
-        .Set("orphan_shadows_removed", recovery.orphan_shadows_removed)
         .Set("journal_tail_truncated", recovery.journal_tail_truncated);
     // Restore the store to N committed views for the next crash point: the
     // interrupted install rolled back, so nothing to undo — just close.

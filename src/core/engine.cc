@@ -898,9 +898,6 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
         " ops exceeds VIEWJOIN_UPDATE_BATCH_SIZE=" +
         std::to_string(*batch_cap));
   }
-  util::StatusOr<int64_t> spill_bytes = util::ParseNonNegativeIntEnv(
-      "VIEWJOIN_UPDATE_DELTA_SPILL_BYTES", 1 << 20);
-  if (!spill_bytes.ok()) return spill_bytes.status();
 
   // One batch at a time engine-wide: the document mutation below and the
   // catalog's update transaction must not interleave with a sibling batch.
@@ -1034,10 +1031,8 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
 
   // Maintenance phase: ApplyUpdateBatch registers the whole batch
   // atomically after its commit record lands; queries resume once it has.
-  storage::ViewCatalog::UpdateBatchOptions batch_options;
-  batch_options.delta_spill_bytes = static_cast<size_t>(*spill_bytes);
   util::StatusOr<storage::ViewCatalog::UpdateBatchResult> applied =
-      catalog_->ApplyUpdateBatch(*mutable_doc_, specs, batch_options);
+      catalog_->ApplyUpdateBatch(*mutable_doc_, specs);
   doc_lock.unlock();
   if (!applied.ok()) return applied.status();
   out.txn_epoch = applied->txn_epoch;

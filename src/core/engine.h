@@ -422,9 +422,8 @@ class Engine {
   ///     quarantined on failure;
   ///   - plans invalidate via the catalog epoch, document statistics via
   ///     revision().
-  /// Env knobs (strict parsing, util/env.h): VIEWJOIN_UPDATE_BATCH_SIZE
-  /// rejects oversized batches up front (0/unset = unlimited);
-  /// VIEWJOIN_UPDATE_DELTA_SPILL_BYTES sets the delta spill threshold.
+  /// Env knob (strict parsing, util/env.h): VIEWJOIN_UPDATE_BATCH_SIZE
+  /// rejects oversized batches up front (0/unset = unlimited).
   /// Fails with InvalidArgument when constructed over a const document.
   /// Update batches are serialized engine-wide.
   util::StatusOr<UpdateResult> ApplyUpdates(const std::vector<UpdateOp>& ops);

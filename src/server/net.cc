@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -213,8 +214,8 @@ util::Status Conn::SendAll(const uint8_t* data, size_t len) {
   return util::Status::Ok();
 }
 
-util::Status Conn::RecvAll(uint8_t* data, size_t len, size_t* got) {
-  Clock::time_point deadline = DeadlinePoint(read_deadline_ms_);
+util::Status Conn::RecvAll(uint8_t* data, size_t len, size_t* got,
+                           Clock::time_point deadline) {
   *got = 0;
   while (*got < len) {
     size_t chunk = len - *got;
@@ -263,11 +264,39 @@ util::Status Conn::SendFrame(const std::string& payload,
                  payload.size());
 }
 
-util::StatusOr<std::string> Conn::RecvFrame(uint32_t max_frame_bytes) {
+util::Status Conn::AwaitReadable(Clock::time_point deadline,
+                                 const std::function<bool()>& stop,
+                                 double slice_ms) {
+  while (true) {
+    auto wait = std::chrono::duration<double, std::milli>(slice_ms);
+    if (deadline != Clock::time_point::max()) {
+      auto remaining = deadline - Clock::now();
+      if (remaining <= Clock::duration::zero()) return Timeout("recv");
+      wait = std::min<std::chrono::duration<double, std::milli>>(wait,
+                                                                 remaining);
+    }
+    struct pollfd pfd = {fd_, POLLIN, 0};
+    int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::min(wait.count(), 60000.0)) + 1);
+    if (ready > 0) return util::Status::Ok();
+    if (ready < 0 && errno != EINTR) return Errno("poll");
+    if (stop()) return Timeout("recv");
+  }
+}
+
+util::StatusOr<std::string> Conn::RecvFrame(
+    uint32_t max_frame_bytes, const std::function<bool()>& stop_idle,
+    double idle_slice_ms) {
   if (!valid()) return util::Status::IoError("recv on closed connection");
+  const Clock::time_point header_deadline = DeadlinePoint(read_deadline_ms_);
+  if (stop_idle && idle_slice_ms > 0) {
+    util::Status ready =
+        AwaitReadable(header_deadline, stop_idle, idle_slice_ms);
+    if (!ready.ok()) return ready;
+  }
   uint8_t header[kFrameHeaderBytes];
   size_t got = 0;
-  util::Status read = RecvAll(header, sizeof(header), &got);
+  util::Status read = RecvAll(header, sizeof(header), &got, header_deadline);
   if (!read.ok()) {
     // EOF cleanly between frames is the peer hanging up; EOF mid-header is a
     // torn frame.
@@ -281,7 +310,7 @@ util::StatusOr<std::string> Conn::RecvFrame(uint32_t max_frame_bytes) {
   std::string payload(*length, '\0');
   if (*length > 0) {
     read = RecvAll(reinterpret_cast<uint8_t*>(payload.data()), payload.size(),
-                   &got);
+                   &got, DeadlinePoint(read_deadline_ms_));
     if (!read.ok()) {
       if (IsPeerClosed(read)) {
         return util::Status::Corruption("connection closed mid-frame");

@@ -1,7 +1,9 @@
 #ifndef VIEWJOIN_SERVER_NET_H_
 #define VIEWJOIN_SERVER_NET_H_
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "util/fault_injection.h"
@@ -62,7 +64,15 @@ class Conn {
   ///   kIoError            timeout (see IsTimeout) or transport failure;
   ///   kCorruption         bad magic or EOF mid-frame;
   ///   kResourceExhausted  declared length above `max_frame_bytes`.
-  util::StatusOr<std::string> RecvFrame(uint32_t max_frame_bytes);
+  /// With `stop_idle`, the wait for the frame's first byte is cut into
+  /// slices of at most `idle_slice_ms`, and the call gives up with the
+  /// timeout error at the first slice end where `stop_idle()` is true — an
+  /// idle peer then costs at most one slice, not the whole read deadline.
+  /// The read deadline itself still runs from the call, as without it.
+  util::StatusOr<std::string> RecvFrame(
+      uint32_t max_frame_bytes,
+      const std::function<bool()>& stop_idle = nullptr,
+      double idle_slice_ms = 0);
 
   /// Graceful close.
   void Close();
@@ -80,8 +90,16 @@ class Conn {
 
  private:
   util::Status SendAll(const uint8_t* data, size_t len);
-  /// Reads exactly `len` bytes unless EOF/fault; *got reports progress.
-  util::Status RecvAll(uint8_t* data, size_t len, size_t* got);
+  /// Reads exactly `len` bytes by `deadline` unless EOF/fault; *got reports
+  /// progress.
+  util::Status RecvAll(uint8_t* data, size_t len, size_t* got,
+                       std::chrono::steady_clock::time_point deadline);
+  /// Waits until the socket is readable (a byte, EOF or an error), polling
+  /// in `slice_ms` slices; the timeout error once `deadline` passes or
+  /// `stop()` is true at a slice end.
+  util::Status AwaitReadable(std::chrono::steady_clock::time_point deadline,
+                             const std::function<bool()>& stop,
+                             double slice_ms);
 
   int fd_ = -1;
   util::SocketEnd end_ = util::SocketEnd::kAny;

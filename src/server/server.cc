@@ -147,7 +147,12 @@ void QueryServer::ServeConn(Conn conn, core::Engine::Session* session) {
   conn.set_write_deadline_ms(options_.write_deadline_ms);
   while (conn.valid()) {
     conn.set_read_deadline_ms(EffectiveReadDeadline());
-    util::StatusOr<std::string> frame = conn.RecvFrame(options_.max_frame_bytes);
+    // A drain that begins while this peer idles retires the connection
+    // within one drain read deadline, not the serving read deadline armed
+    // above.
+    util::StatusOr<std::string> frame =
+        conn.RecvFrame(options_.max_frame_bytes, [this] { return draining(); },
+                       options_.drain_read_deadline_ms);
     if (!frame.ok()) {
       if (IsPeerClosed(frame.status())) return;  // orderly keep-alive end
       if (IsTimeout(frame.status())) {

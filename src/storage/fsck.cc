@@ -30,37 +30,6 @@ FsckReport FsckPagerFile(const std::string& path) {
 
 namespace {
 
-/// Leftover shadow staging files ("<base>.shadow.*", "<base>.manifest.tmp")
-/// in the pager file's directory, sorted for deterministic output.
-std::vector<std::string> FindOrphanShadows(
-    const std::string& path, std::vector<std::string>* delta_files) {
-  std::string dir = ".";
-  std::string base = path;
-  size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos) {
-    dir = path.substr(0, slash);
-    base = path.substr(slash + 1);
-  }
-  std::vector<std::string> found;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return found;
-  const std::string shadow_prefix = base + ".shadow.";
-  const std::string manifest_tmp = base + ".manifest.tmp";
-  const std::string delta_sidecar = base + ".updatedelta";
-  while (struct dirent* entry = ::readdir(d)) {
-    std::string name = entry->d_name;
-    if (name.rfind(shadow_prefix, 0) == 0 || name == manifest_tmp) {
-      found.push_back(dir + "/" + name);
-    } else if (name == delta_sidecar || name == delta_sidecar + ".tmp") {
-      delta_files->push_back(dir + "/" + name);
-    }
-  }
-  ::closedir(d);
-  std::sort(found.begin(), found.end());
-  std::sort(delta_files->begin(), delta_files->end());
-  return found;
-}
-
 /// "list q spans [first, first+span) past durable prefix <n>" or empty.
 void CheckViewRanges(const ManifestViewRecord& record, uint32_t durable,
                      std::vector<std::string>* bad) {
@@ -139,7 +108,11 @@ void CheckDeltaList(Pager& pager, const ManifestViewRecord& record,
 
 FsckCatalogReport FsckCatalog(const std::string& path) {
   FsckCatalogReport report;
-  report.orphan_shadows = FindOrphanShadows(path, &report.orphan_delta_files);
+  struct stat tmp_st;
+  report.stale_checkpoint =
+      ::stat(ManifestJournal::CheckpointTmpPath(ManifestJournal::PathFor(path))
+                 .c_str(),
+             &tmp_st) == 0;
 
   util::StatusOr<ManifestReplayResult> replayed =
       ManifestJournal::Replay(ManifestJournal::PathFor(path));
@@ -505,10 +478,8 @@ std::string ToJson(const FsckCatalogReport& report) {
   out += "  \"orphan_pages\": " + std::to_string(report.orphan_pages) + ",\n";
   out += "  \"pager_tail_partial\": " + JsonBool(report.pager_tail_partial) +
          ",\n";
-  out += "  \"orphan_shadows\": " + JsonStringArray(report.orphan_shadows) +
+  out += "  \"stale_checkpoint\": " + JsonBool(report.stale_checkpoint) +
          ",\n";
-  out += "  \"orphan_delta_files\": " +
-         JsonStringArray(report.orphan_delta_files) + ",\n";
   out += "  \"corrupt_durable_pages\": " +
          std::to_string(report.corrupt_durable_pages) + ",\n";
   out += "  \"data_missing\": " + JsonBool(report.data_missing) + ",\n";

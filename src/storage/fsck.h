@@ -36,9 +36,9 @@ FsckReport FsckPagerFile(const std::string& path);
 ///     record failing its CRC mid-file, an install record pointing past the
 ///     journal's durable prefix, or a data file shorter than that prefix;
 ///   - *crash artifacts* (interrupted-but-rolled-backable state): a torn
-///     journal tail, pager pages past the durable prefix, leftover shadow
-///     files. These are what RepairCatalog (or the next ViewCatalog::Open)
-///     cleans up.
+///     journal tail, pager pages past the durable prefix, a stale
+///     checkpoint tmp. These are what RepairCatalog (or the next
+///     ViewCatalog::Open) cleans up.
 struct FsckCatalogReport {
   /// Page-level scan of the pager file (checksums, footers).
   FsckReport pager;
@@ -65,11 +65,9 @@ struct FsckCatalogReport {
   /// pager rejects such a file wholesale, so the page scan is skipped; the
   /// journal still proves everything up to the durable prefix.
   bool pager_tail_partial = false;
-  /// Leftover "<path>.shadow.*" staging files from interrupted installs.
-  std::vector<std::string> orphan_shadows;
-  /// Leftover "<path>.updatedelta" spill files (whole or torn) from an
-  /// interrupted update batch; pure staging, swept by the next Open.
-  std::vector<std::string> orphan_delta_files;
+  /// A "<path>.manifest.tmp" left by a checkpoint compaction that died
+  /// before its rename; the journal it was replacing is still in force.
+  bool stale_checkpoint = false;
   /// Update batches whose commit record never landed: replay rolls them
   /// back and the next Open truncates the half-applied journal suffix.
   uint64_t rolled_back_update_batches = 0;
@@ -116,20 +114,19 @@ struct FsckCatalogReport {
   /// Crash artifacts present that RepairCatalog / Open would clean up.
   bool repair_needed() const {
     return journal_tail_torn || orphan_pages > 0 || pager_tail_partial ||
-           !orphan_shadows.empty() || !orphan_delta_files.empty() ||
-           rolled_back_update_batches > 0;
+           stale_checkpoint || rolled_back_update_batches > 0;
   }
 };
 
 /// Read-only consistency check of the persistent catalog at `path` (pager
-/// file + "<path>.manifest" journal + shadow leftovers). Never modifies any
-/// file and never aborts; every finding lands in the report.
+/// file + "<path>.manifest" journal + a stale checkpoint tmp). Never
+/// modifies any file and never aborts; every finding lands in the report.
 FsckCatalogReport FsckCatalog(const std::string& path);
 
 /// Repairs the crash artifacts FsckCatalog flags: opens the catalog (which
 /// runs startup recovery — truncating the torn journal tail and orphan
-/// pages, deleting orphan shadows), then
-/// checkpoints the journal and closes cleanly. Returns the recovery report
+/// pages, deleting a stale checkpoint tmp), then checkpoints the journal
+/// and closes cleanly. Returns the recovery report
 /// describing what was done, or the error that prevented opening — genuine
 /// corruption (checksum-bad pages, missing committed data) is NOT repaired,
 /// because the backing data for those views is simply gone; rebuild them

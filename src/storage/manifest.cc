@@ -106,8 +106,8 @@ void EncodeStoredList(std::vector<uint8_t>& out, const StoredList& list) {
   PutU32(out, list.layout.label_count);
   PutU8(out, list.layout.has_pointers ? 1 : 0);
   PutU32(out, list.layout.child_count);
-  // v2 extensions: physical format plus the page directory (delta lists)
-  // and fence keys (both formats) that make page-level galloping possible.
+  // Physical format plus the page directory (delta lists) and fence keys
+  // (both formats) that make page-level galloping possible.
   PutU8(out, static_cast<uint8_t>(list.format));
   PutU32(out, static_cast<uint32_t>(list.page_first_entry.size()));
   for (uint32_t e : list.page_first_entry) PutU32(out, e);
@@ -115,35 +115,30 @@ void EncodeStoredList(std::vector<uint8_t>& out, const StoredList& list) {
   for (uint32_t s : list.page_first_start) PutU32(out, s);
 }
 
-StoredList DecodeStoredList(PayloadReader& in, uint32_t version) {
+StoredList DecodeStoredList(PayloadReader& in) {
   StoredList list;
   list.first_page = in.U32();
   list.count = in.U32();
   list.layout.label_count = in.U32();
   list.layout.has_pointers = in.U8() != 0;
   list.layout.child_count = in.U32();
-  if (version >= 2) {
-    uint8_t format = in.U8();
-    // An unknown format byte cannot pass the record CRC unless a newer
-    // writer produced it; degrade to fixed so ListInRange rejects cleanly.
-    list.format =
-        format <= 1 ? static_cast<ListFormat>(format) : ListFormat::kFixed;
-    uint32_t dir_count = in.U32();
-    if (dir_count > ManifestJournal::kMaxPayload / 4) dir_count = 0;
-    list.page_first_entry.reserve(dir_count);
-    for (uint32_t i = 0; i < dir_count && !in.failed(); ++i) {
-      list.page_first_entry.push_back(in.U32());
-    }
-    uint32_t fence_count = in.U32();
-    if (fence_count > ManifestJournal::kMaxPayload / 4) fence_count = 0;
-    list.page_first_start.reserve(fence_count);
-    for (uint32_t i = 0; i < fence_count && !in.failed(); ++i) {
-      list.page_first_start.push_back(in.U32());
-    }
+  uint8_t format = in.U8();
+  // An unknown format byte cannot pass the record CRC unless a newer writer
+  // produced it; degrade to fixed so ListInRange rejects cleanly.
+  list.format =
+      format <= 1 ? static_cast<ListFormat>(format) : ListFormat::kFixed;
+  uint32_t dir_count = in.U32();
+  if (dir_count > ManifestJournal::kMaxPayload / 4) dir_count = 0;
+  list.page_first_entry.reserve(dir_count);
+  for (uint32_t i = 0; i < dir_count && !in.failed(); ++i) {
+    list.page_first_entry.push_back(in.U32());
   }
-  // v1 lists decode as fixed format with no fences; cursors fall back to
-  // entry-level galloping until the catalog's upgrade checkpoint rewrites
-  // the journal at v2.
+  uint32_t fence_count = in.U32();
+  if (fence_count > ManifestJournal::kMaxPayload / 4) fence_count = 0;
+  list.page_first_start.reserve(fence_count);
+  for (uint32_t i = 0; i < fence_count && !in.failed(); ++i) {
+    list.page_first_start.push_back(in.U32());
+  }
   return list;
 }
 
@@ -288,8 +283,7 @@ Status SyncFile(std::FILE* file, const std::string& path) {
 /// Applies one parsed record to the accumulating replay state. Returns
 /// kCorruption when the payload does not decode.
 Status ApplyRecord(ManifestRecordType type, const uint8_t* payload,
-                   size_t payload_size, uint32_t version,
-                   const std::string& path, long offset,
+                   size_t payload_size, const std::string& path, long offset,
                    ManifestReplayResult& result,
                    std::unordered_map<uint64_t, std::pair<std::string, uint8_t>>&
                        pending_begins) {
@@ -312,12 +306,12 @@ Status ApplyRecord(ManifestRecordType type, const uint8_t* payload,
       r.size_bytes = in.U64();
       r.pointer_count = in.U64();
       r.page_count_after = in.U32();
-      r.tuple_list = DecodeStoredList(in, version);
+      r.tuple_list = DecodeStoredList(in);
       uint32_t list_count = in.U32();
       if (list_count > ManifestJournal::kMaxPayload / 17) break;
       r.lists.reserve(list_count);
       for (uint32_t i = 0; i < list_count && !in.failed(); ++i) {
-        r.lists.push_back(DecodeStoredList(in, version));
+        r.lists.push_back(DecodeStoredList(in));
       }
       uint32_t length_count = in.U32();
       if (length_count > ManifestJournal::kMaxPayload / 4) break;
@@ -445,21 +439,20 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
                               " has a bad or truncated header");
   }
   // Validate the header manually rather than against the current writer's
-  // bytes: replay accepts any version we know how to decode (1 or 2), while
-  // the CRC over magic+version still catches a flipped version byte.
+  // bytes, so a foreign version (any but kFormatVersion) and a flipped
+  // version byte (CRC over magic+version) are both refused as corruption.
   uint32_t header_version = 0;
   uint32_t header_crc = 0;
   for (int i = 0; i < 4; ++i) {
     header_version |= static_cast<uint32_t>(header[8 + i]) << (8 * i);
     header_crc |= static_cast<uint32_t>(header[12 + i]) << (8 * i);
   }
-  if (header_crc != util::Crc32(header, 12) || header_version < 1 ||
-      header_version > kFormatVersion) {
+  if (header_crc != util::Crc32(header, 12) ||
+      header_version != kFormatVersion) {
     std::fclose(file);
     return Status::Corruption("manifest journal " + path +
                               " header fails validation (version/CRC)");
   }
-  result.header_version = header_version;
 
   std::unordered_map<uint64_t, std::pair<std::string, uint8_t>> pending;
   long offset = static_cast<long>(kJournalHeaderSize);
@@ -559,8 +552,8 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
       txn_pending_snapshot.clear();
     } else if (rtype != ManifestRecordType::kEpochMark) {
       Status applied =
-          ApplyRecord(rtype, buf.data() + 1, payload_len, header_version, path,
-                      offset, result, pending);
+          ApplyRecord(rtype, buf.data() + 1, payload_len, path, offset, result,
+                      pending);
       if (!applied.ok()) {
         std::fclose(file);
         return applied;
@@ -576,10 +569,8 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
     // the half-applied suffix — otherwise records appended after recovery
     // would sit behind a dangling open transaction and be rolled back by
     // every future replay.
-    const uint32_t hv = result.header_version;
     result = std::move(txn_snapshot);
     pending = std::move(txn_pending_snapshot);
-    result.header_version = hv;
     result.valid_bytes = txn_begin_offset;
     result.rolled_back_update_batches = 1;
   } else {
@@ -597,7 +588,7 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
 Status ManifestJournal::WriteCheckpoint(
     const std::string& path, const std::vector<ManifestViewRecord>& records,
     const std::vector<uint64_t>& quarantined_epochs, uint64_t last_epoch) {
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = CheckpointTmpPath(path);
   std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
     return IoError("cannot create manifest checkpoint " + tmp);

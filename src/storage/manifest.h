@@ -77,10 +77,6 @@ struct ManifestReplayResult {
   /// regression means the epoch counter was reused after a faulty
   /// compaction; fsck reports this as corruption.
   uint64_t epoch_regressions = 0;
-  /// Format version from the journal header (1 = fixed-format lists only,
-  /// 2 = versioned StoredList encoding with list format + page directory).
-  /// Catalogs upgrade v1 journals wholesale via Checkpoint after open.
-  uint32_t header_version = 0;
 };
 
 /// Append-only, checksummed journal of view-lifecycle events — the
@@ -90,7 +86,7 @@ struct ManifestReplayResult {
 ///
 /// On-disk layout:
 ///
-///   [ 16-byte header: magic "VJMANIFJ", u32 version (1 or 2), u32 CRC32 ]
+///   [ 16-byte header: magic "VJMANIFJ", u32 version (2), u32 CRC32 ]
 ///   [ record ]*
 ///
 /// where each record is
@@ -114,9 +110,9 @@ struct ManifestReplayResult {
 /// Checkpoint are static and operate on paths.
 class ManifestJournal {
  public:
-  /// v1: fixed-format lists, 17-byte StoredList encoding. v2: adds a list
-  /// format byte and the delta page directory / fence keys per list. Replay
-  /// accepts both; writers always emit kFormatVersion.
+  /// StoredList encoding with a list format byte and the delta page
+  /// directory / fence keys per list. Replay refuses any other header
+  /// version with kCorruption.
   static constexpr uint32_t kFormatVersion = 2;
   /// Sanity cap on one record's payload (a view with thousands of lists is
   /// still far below this); a larger length prefix is treated as garbage.
@@ -125,6 +121,13 @@ class ManifestJournal {
   /// The journal path for a pager file path.
   static std::string PathFor(const std::string& pager_path) {
     return pager_path + ".manifest";
+  }
+
+  /// The tmp file WriteCheckpoint stages a compaction in. One left on disk
+  /// is a compaction that died before its rename; recovery sweeps it and
+  /// fsck flags it.
+  static std::string CheckpointTmpPath(const std::string& journal_path) {
+    return journal_path + ".tmp";
   }
 
   /// Creates (truncating) a fresh journal with just the header.
@@ -145,8 +148,8 @@ class ManifestJournal {
 
   /// Atomically replaces `path` with a compact journal holding exactly
   /// `records` (+ quarantine markers for `quarantined_epochs`), via
-  /// tmp file + fsync + rename. Used by checkpointing and by the
-  /// text-manifest conversion. The header write is fault-injectable.
+  /// tmp file + fsync + rename. Used by checkpointing, hot backup and the
+  /// document store. The header write is fault-injectable.
   static util::Status WriteCheckpoint(
       const std::string& path, const std::vector<ManifestViewRecord>& records,
       const std::vector<uint64_t>& quarantined_epochs, uint64_t last_epoch);

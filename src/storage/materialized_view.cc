@@ -1,6 +1,5 @@
 #include "storage/materialized_view.h"
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -12,7 +11,6 @@
 #include "storage/list_codec.h"
 #include "tpq/evaluator.h"
 #include "util/check.h"
-#include "util/crc32.h"
 #include "util/fault_injection.h"
 
 namespace viewjoin::storage {
@@ -244,44 +242,6 @@ ViewCatalog::BackupSnapshot ViewCatalog::SnapshotForBackup() {
 
 namespace {
 
-/// Deletes leftover shadow files ("<base>.shadow.*", sealed or .tmp) and a
-/// stray checkpoint tmp next to the pager file. Returns how many were
-/// removed. A shadow is pure staging — its content is either uncommitted
-/// (discard) or already appended into the pager file (redundant), so
-/// deletion is always the right recovery action.
-int RemoveOrphanShadows(const std::string& pager_path,
-                        int* delta_files_removed = nullptr) {
-  std::string dir = ".";
-  std::string base = pager_path;
-  size_t slash = pager_path.rfind('/');
-  if (slash != std::string::npos) {
-    dir = pager_path.substr(0, slash);
-    base = pager_path.substr(slash + 1);
-  }
-  const std::string shadow_prefix = base + ".shadow.";
-  const std::string checkpoint_tmp = base + ".manifest.tmp";
-  const std::string delta_sidecar = base + ".updatedelta";
-  int removed = 0;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return 0;
-  while (struct dirent* entry = ::readdir(d)) {
-    std::string name = entry->d_name;
-    if (name.rfind(shadow_prefix, 0) == 0 || name == checkpoint_tmp) {
-      if (std::remove((dir + "/" + name).c_str()) == 0) ++removed;
-    } else if (name == delta_sidecar || name == delta_sidecar + ".tmp") {
-      // Delta spill sidecars are staging for an update batch in flight; any
-      // survivor (torn or whole) belongs to a batch that either committed
-      // (sidecar redundant) or rolled back (sidecar garbage).
-      if (std::remove((dir + "/" + name).c_str()) == 0 &&
-          delta_files_removed != nullptr) {
-        ++*delta_files_removed;
-      }
-    }
-  }
-  ::closedir(d);
-  return removed;
-}
-
 util::Status MalformedManifest(const std::string& path,
                                const std::string& message) {
   return util::Status::Corruption("malformed manifest for " + path + ": " +
@@ -337,8 +297,11 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
   ManifestReplayResult replay = std::move(*replayed);
 
   RecoveryReport report;
-  report.orphan_shadows_removed =
-      RemoveOrphanShadows(path, &report.orphan_delta_files_removed);
+  // A checkpoint tmp is a compaction that died before its rename: the
+  // journal just replayed is still the authoritative one.
+  report.stale_checkpoint_removed =
+      std::remove(ManifestJournal::CheckpointTmpPath(journal_path).c_str()) ==
+      0;
   report.rolled_back_update_batches = replay.rolled_back_update_batches;
 
   // Roll the pager file back to the journal's durable prefix *before* the
@@ -450,17 +413,6 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
       queue_rebuild(pattern, view->scheme_);
     }
   }
-  // A v1 journal decodes fine, but appending v2-encoded records to it would
-  // produce a mixed-version file no single header version describes.
-  // Rewrite it wholesale at the current version before any append happens
-  // (the views just built re-encode through the v2 writer; the data file is
-  // untouched).
-  if (replay.header_version < ManifestJournal::kFormatVersion) {
-    util::Status upgraded = catalog->Checkpoint();
-    if (!upgraded.ok()) return upgraded;
-    report.journal_upgraded = true;
-  }
-
   catalog->recovery_ = std::move(report);
   return catalog;
 }
@@ -480,44 +432,7 @@ void ViewCatalog::ResetStats() {
   pool_->ResetStats();
 }
 
-// ---- Shadow installation ---------------------------------------------------
-
-namespace {
-
-/// Writes `size` bytes to `tmp_path` and makes them durable. Best-effort
-/// cleanup on failure (this is a genuine error path, not a simulated crash).
-util::Status WriteShadowFile(const std::string& tmp_path, const uint8_t* data,
-                             size_t size) {
-  if (util::FaultInjector::Global().OnDiskCharge(size)) {
-    // Full disk before the staging file exists: nothing to clean up, and the
-    // typed code lets the engine abort the batch instead of quarantining.
-    return util::Status::ResourceExhausted(
-        "cannot write shadow file " + tmp_path +
-        ": no space left on device (injected)");
-  }
-  std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
-  if (file == nullptr) {
-    return util::Status::IoError("cannot create shadow file " + tmp_path +
-                                 ": " + std::strerror(errno));
-  }
-  errno = 0;
-  bool ok = size == 0 || std::fwrite(data, 1, size, file) == size;
-  ok = ok && std::fflush(file) == 0 && ::fsync(fileno(file)) == 0;
-  int err = errno;
-  std::fclose(file);
-  if (!ok) {
-    std::remove(tmp_path.c_str());
-    if (err == ENOSPC) {
-      return util::Status::ResourceExhausted("cannot write shadow file " +
-                                             tmp_path +
-                                             ": no space left on device");
-    }
-    return util::Status::IoError("cannot write shadow file " + tmp_path);
-  }
-  return util::Status::Ok();
-}
-
-}  // namespace
+// ---- Installation ----------------------------------------------------------
 
 util::StatusOr<const MaterializedView*> ViewCatalog::InstallView(
     std::unique_ptr<MaterializedView> view, StagedPages& staged) {
@@ -554,56 +469,25 @@ util::StatusOr<const MaterializedView*> ViewCatalog::InstallView(
         phys.data() + static_cast<size_t>(p) * Pager::kPhysicalPageSize);
   }
 
-  const std::string shadow =
-      pager_->path() + ".shadow." + std::to_string(epoch);
   // A returned ENOSPC is an in-process abort, not a crash: the process is
   // alive to undo its own partial transaction, so roll the store back to
-  // exactly its pre-install state (no orphan pages, no sealed shadow, no
-  // dangling begin record) and fsck finds nothing to repair. Every other
-  // failure kind — injected crashes above all — must keep leaving the
-  // artifacts a dying process would, because recovery is what handles them.
+  // exactly its pre-install state (no orphan pages, no dangling begin
+  // record) and fsck finds nothing to repair. Every other failure kind —
+  // injected crashes above all — must keep leaving the artifacts a dying
+  // process would, because recovery is what handles them.
   auto abort_on_no_space = [&](const util::Status& status) {
     if (status.code() != util::StatusCode::kResourceExhausted) return;
     (void)pager_->TruncateToPageCount(base);
-    std::remove(shadow.c_str());
     if (journal_ != nullptr && journal_mark >= 0) {
       (void)journal_->TruncateTo(journal_mark);
     }
   };
-  const bool shadowed = journal_ != nullptr && staged.page_count > 0;
-  if (shadowed) {
-    const std::string tmp = shadow + ".tmp";
-    util::Status staged_ok = WriteShadowFile(tmp, phys.data(), phys.size());
-    if (!staged_ok.ok()) {
-      abort_on_no_space(staged_ok);
-      return staged_ok;
-    }
-    if (injector.AtCrashPoint(util::CrashPoint::kCrashBeforeRename)) {
-      // Crash with the shadow fully written but unsealed: recovery must
-      // treat the .tmp as garbage and roll the view back.
-      return util::Status::IoError("injected crash before shadow rename (" +
-                                   tmp + ")");
-    }
-    if (std::rename(tmp.c_str(), shadow.c_str()) != 0) {
-      util::Status renamed = util::Status::IoError(
-          "cannot seal shadow file " + shadow + ": " + std::strerror(errno));
-      std::remove(tmp.c_str());
-      return renamed;
-    }
-    if (injector.AtCrashPoint(util::CrashPoint::kCrashAfterRename)) {
-      // Crash with a sealed shadow but nothing in the main file: recovery
-      // must delete the orphan shadow and roll the view back.
-      return util::Status::IoError("injected crash after shadow rename (" +
-                                   shadow + ")");
-    }
-  }
 
   if (staged.page_count > 0) {
     util::Status appended =
         pager_->AppendPhysicalPages(phys.data(), staged.page_count);
     if (appended.ok() && journal_ != nullptr) appended = pager_->Sync();
     if (!appended.ok()) {
-      if (shadowed) std::remove(shadow.c_str());
       abort_on_no_space(appended);
       return appended;
     }
@@ -620,13 +504,12 @@ util::StatusOr<const MaterializedView*> ViewCatalog::InstallView(
         journal_->AppendInstall(RecordFor(*view, pager_->page_count()));
     if (!committed.ok()) {
       // Mid-journal crash injection surfaces here: leave everything exactly
-      // as a dying process would (sealed shadow, appended pages, torn
-      // record) for recovery to clean up. A typed ENOSPC instead aborts
-      // cleanly — see abort_on_no_space above.
+      // as a dying process would (appended pages, torn record) for recovery
+      // to clean up. A typed ENOSPC instead aborts cleanly — see
+      // abort_on_no_space above.
       abort_on_no_space(committed);
       return committed;
     }
-    if (shadowed) std::remove(shadow.c_str());
   }
 
   const MaterializedView* result = view.get();
@@ -805,16 +688,6 @@ util::StatusOr<const MaterializedView*> ViewCatalog::TryMaterialize(
   return TryMaterializeFromLists(doc, pattern, solutions, scheme);
 }
 
-const MaterializedView* ViewCatalog::MaterializeFromLists(
-    const Document& doc, const TreePattern& pattern,
-    const std::vector<std::vector<NodeId>>& solutions, Scheme scheme) {
-  util::StatusOr<const MaterializedView*> result =
-      TryMaterializeFromLists(doc, pattern, solutions, scheme);
-  VJ_CHECK(result.ok()) << "materialization of " << pattern.ToString()
-                        << " failed: " << result.status().ToString();
-  return *result;
-}
-
 util::StatusOr<std::unique_ptr<MaterializedView>> ViewCatalog::StageListView(
     const TreePattern& pattern, Scheme scheme,
     const std::vector<std::vector<Label>>& labels, StagedPages& staged) {
@@ -854,7 +727,7 @@ util::StatusOr<const MaterializedView*> ViewCatalog::TryMaterializeFromLists(
     const Document& doc, const TreePattern& pattern,
     const std::vector<std::vector<NodeId>>& solutions, Scheme scheme) {
   VJ_CHECK(scheme != Scheme::kTuple)
-      << "MaterializeFromLists supports the list schemes only";
+      << "TryMaterializeFromLists supports the list schemes only";
   VJ_CHECK_EQ(solutions.size(), pattern.size());
   const size_t nq = pattern.size();
   std::vector<std::vector<Label>> labels(nq);
@@ -914,115 +787,6 @@ util::StatusOr<std::vector<Label>> MergeDelta(
   return merged;
 }
 
-// Delta spill sidecar ("<pager>.updatedelta"): big update batches stage
-// their serialized deltas on disk instead of holding two copies in memory.
-// Layout: magic "VJUPDELT" | u32 spec_count | per spec (u32 nq, per node:
-// u32 added_count, labels..., u32 removed_count, labels...) | u32 CRC32 of
-// everything after the magic. The file is pure staging: recovery deletes
-// any survivor, torn or whole.
-
-constexpr char kDeltaMagic[8] = {'V', 'J', 'U', 'P', 'D', 'E', 'L', 'T'};
-
-void PutLabelVec(std::vector<uint8_t>* out, const std::vector<Label>& v) {
-  AppendU32(out, static_cast<uint32_t>(v.size()));
-  for (const Label& l : v) AppendLabel(out, l);
-}
-
-std::vector<uint8_t> EncodeDeltaSidecar(
-    const std::vector<const ViewCatalog::ListDeltas*>& deltas) {
-  std::vector<uint8_t> out(kDeltaMagic, kDeltaMagic + sizeof(kDeltaMagic));
-  AppendU32(&out, static_cast<uint32_t>(deltas.size()));
-  for (const ViewCatalog::ListDeltas* d : deltas) {
-    if (d == nullptr) {
-      AppendU32(&out, 0);
-      continue;
-    }
-    AppendU32(&out, static_cast<uint32_t>(d->added.size()));
-    for (size_t q = 0; q < d->added.size(); ++q) {
-      PutLabelVec(&out, d->added[q]);
-      PutLabelVec(&out, d->removed[q]);
-    }
-  }
-  AppendU32(&out, util::Crc32(out.data() + sizeof(kDeltaMagic),
-                              out.size() - sizeof(kDeltaMagic)));
-  return out;
-}
-
-util::StatusOr<std::vector<ViewCatalog::ListDeltas>> DecodeDeltaSidecar(
-    const std::vector<uint8_t>& bytes, const std::string& path) {
-  auto torn = [&path]() {
-    return util::Status::Corruption("delta spill file " + path +
-                                    " is torn or corrupt");
-  };
-  if (bytes.size() < sizeof(kDeltaMagic) + 8 ||
-      std::memcmp(bytes.data(), kDeltaMagic, sizeof(kDeltaMagic)) != 0) {
-    return torn();
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4, 4);
-  if (stored_crc != util::Crc32(bytes.data() + sizeof(kDeltaMagic),
-                                bytes.size() - sizeof(kDeltaMagic) - 4)) {
-    return torn();
-  }
-  size_t pos = sizeof(kDeltaMagic);
-  const size_t end = bytes.size() - 4;
-  auto read_u32 = [&](uint32_t* v) {
-    if (end - pos < 4) return false;
-    std::memcpy(v, bytes.data() + pos, 4);
-    pos += 4;
-    return true;
-  };
-  auto read_labels = [&](std::vector<Label>* v) {
-    uint32_t n = 0;
-    if (!read_u32(&n) || (end - pos) / 12 < n) return false;
-    v->reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Label l;
-      std::memcpy(&l.start, bytes.data() + pos, 4);
-      std::memcpy(&l.end, bytes.data() + pos + 4, 4);
-      std::memcpy(&l.level, bytes.data() + pos + 8, 4);
-      pos += 12;
-      v->push_back(l);
-    }
-    return true;
-  };
-  uint32_t spec_count = 0;
-  if (!read_u32(&spec_count)) return torn();
-  std::vector<ViewCatalog::ListDeltas> deltas(spec_count);
-  for (uint32_t s = 0; s < spec_count; ++s) {
-    uint32_t nq = 0;
-    if (!read_u32(&nq)) return torn();
-    deltas[s].added.resize(nq);
-    deltas[s].removed.resize(nq);
-    for (uint32_t q = 0; q < nq; ++q) {
-      if (!read_labels(&deltas[s].added[q]) ||
-          !read_labels(&deltas[s].removed[q])) {
-        return torn();
-      }
-    }
-  }
-  if (pos != end) return torn();
-  return deltas;
-}
-
-util::StatusOr<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return util::Status::IoError("cannot open " + path + ": " +
-                                 std::strerror(errno));
-  }
-  std::fseek(file, 0, SEEK_END);
-  long size = std::ftell(file);
-  std::rewind(file);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size < 0 ? 0 : size));
-  size_t got = bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), file);
-  std::fclose(file);
-  if (got != bytes.size()) {
-    return util::Status::IoError("cannot read " + path);
-  }
-  return bytes;
-}
-
 }  // namespace
 
 util::StatusOr<std::unique_ptr<MaterializedView>>
@@ -1046,8 +810,8 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
     layout.label_count = 1;
 
     // Prefix reuse needs per-page fence keys to prove a page holds only
-    // labels below the first change; v1 lists without fences re-encode
-    // fully (prefix_pages stays 0).
+    // labels below the first change; a list without them re-encodes fully
+    // (prefix_pages stays 0).
     const uint32_t old_pages = old_list.PageSpan();
     const bool fenced =
         old_list.count > 0 && old_list.page_first_start.size() == old_pages &&
@@ -1164,8 +928,7 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
 }
 
 util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
-    const Document& doc, const std::vector<ViewUpdateSpec>& specs,
-    const UpdateBatchOptions& options) {
+    const Document& doc, const std::vector<ViewUpdateSpec>& specs) {
   if (specs.empty()) {
     return util::Status::InvalidArgument("empty update batch");
   }
@@ -1201,41 +964,6 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
     }
   }
 
-  // ---- Spill large deltas through the on-disk sidecar ----------------------
-  // The merge below then consumes the re-read, CRC-verified copy, so the
-  // spill path is exercised end to end whenever it is taken.
-  std::vector<const ListDeltas*> delta_for(specs.size(), nullptr);
-  for (size_t i = 0; i < specs.size(); ++i) {
-    if (!specs[i].full_rebuild) delta_for[i] = &specs[i].deltas;
-  }
-  const std::string sidecar = pager_->path() + ".updatedelta";
-  std::vector<ListDeltas> spilled;
-  bool sidecar_on_disk = false;
-  if (persistent_) {
-    std::vector<uint8_t> serialized = EncodeDeltaSidecar(delta_for);
-    if (serialized.size() > options.delta_spill_bytes) {
-      util::Status written =
-          WriteShadowFile(sidecar, serialized.data(), serialized.size());
-      if (!written.ok()) return written;
-      sidecar_on_disk = true;
-      util::StatusOr<std::vector<uint8_t>> reread = ReadWholeFile(sidecar);
-      if (!reread.ok()) return reread.status();
-      util::StatusOr<std::vector<ListDeltas>> decoded =
-          DecodeDeltaSidecar(*reread, sidecar);
-      if (!decoded.ok()) return decoded.status();
-      spilled = std::move(*decoded);
-      for (size_t i = 0; i < specs.size(); ++i) {
-        if (delta_for[i] != nullptr) delta_for[i] = &spilled[i];
-      }
-      result.deltas_spilled = true;
-    }
-  }
-  // From here on the sidecar (if any) must be removed on every non-crash
-  // exit; injected crashes leave it for recovery, like the shadow file.
-  auto remove_sidecar = [&]() {
-    if (sidecar_on_disk) std::remove(sidecar.c_str());
-  };
-
   // ---- Stage every new view into one page run ------------------------------
   StagedPages staged;
   std::vector<std::unique_ptr<MaterializedView>> new_views;
@@ -1257,10 +985,7 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
       util::StatusOr<StoredList> tuples =
           StageList(staged, bytes, layout, static_cast<uint32_t>(sink.count()),
                     list_format_);
-      if (!tuples.ok()) {
-        remove_sidecar();
-        return tuples.status();
-      }
+      if (!tuples.ok()) return tuples.status();
       view->tuple_list_ = *tuples;
       view->match_count_ = sink.count();
       view->size_bytes_ = sink.count() * 12ull * pattern.size();
@@ -1275,11 +1000,8 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
       // E-scheme delta merge: reuse encoded pages below the first changed
       // label instead of decoding and re-encoding whole lists.
       util::StatusOr<std::unique_ptr<MaterializedView>> view =
-          StageMergedElementView(old, *delta_for[i], staged);
-      if (!view.ok()) {
-        remove_sidecar();
-        return view.status();
-      }
+          StageMergedElementView(old, spec.deltas, staged);
+      if (!view.ok()) return view.status();
       new_views.push_back(std::move(*view));
       ++result.delta_maintained;
       continue;
@@ -1317,22 +1039,16 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
           cursor.Next();
         }
         util::StatusOr<std::vector<Label>> merged = MergeDelta(
-            old_labels, delta_for[i]->removed[q], delta_for[i]->added[q],
+            old_labels, spec.deltas.removed[q], spec.deltas.added[q],
             pattern.ToString() + " node " + std::to_string(q));
-        if (!merged.ok()) {
-          remove_sidecar();
-          return merged.status();
-        }
+        if (!merged.ok()) return merged.status();
         labels[q] = std::move(*merged);
       }
       ++result.delta_maintained;
     }
     util::StatusOr<std::unique_ptr<MaterializedView>> view =
         StageListView(pattern, old.scheme(), labels, staged);
-    if (!view.ok()) {
-      remove_sidecar();
-      return view.status();
-    }
+    if (!view.ok()) return view.status();
     new_views.push_back(std::move(*view));
   }
 
@@ -1344,10 +1060,7 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
   if (journal_ != nullptr) {
     util::Status begun =
         journal_->AppendUpdateBegin(ue, static_cast<uint32_t>(specs.size()));
-    if (!begun.ok()) {
-      remove_sidecar();
-      return begun;
-    }
+    if (!begun.ok()) return begun;
   }
 
   // Rebase all staged lists onto their final page ids and encode the pages.
@@ -1367,48 +1080,25 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
         phys.data() + static_cast<size_t>(p) * Pager::kPhysicalPageSize);
   }
 
-  // One shadow for the whole batch, named after the transaction epoch.
-  const std::string shadow = pager_->path() + ".shadow." + std::to_string(ue);
   // In-process abort for a full disk: unlike the injected crashes below
-  // (which must leave sealed shadows, orphan pages and a dangling
-  // kUpdateBegin for reopen-time recovery to roll back), a returned ENOSPC
-  // happens in a process that is still alive to undo its own transaction.
-  // Roll the pager, journal and staging files back to their pre-batch state
-  // so fsck finds nothing to repair.
+  // (which must leave orphan pages and a dangling kUpdateBegin for
+  // reopen-time recovery to roll back), a returned ENOSPC happens in a
+  // process that is still alive to undo its own transaction. Roll the pager
+  // and journal back to their pre-batch state so fsck finds nothing to
+  // repair.
   auto abort_on_no_space = [&](const util::Status& status) {
     if (status.code() != util::StatusCode::kResourceExhausted) return;
     (void)pager_->TruncateToPageCount(base);
-    std::remove(shadow.c_str());
-    remove_sidecar();
     if (journal_ != nullptr && journal_mark >= 0) {
       (void)journal_->TruncateTo(journal_mark);
     }
   };
-  const bool shadowed = journal_ != nullptr && staged.page_count > 0;
-  if (shadowed) {
-    const std::string tmp = shadow + ".tmp";
-    util::Status staged_ok = WriteShadowFile(tmp, phys.data(), phys.size());
-    if (!staged_ok.ok()) {
-      remove_sidecar();
-      abort_on_no_space(staged_ok);
-      return staged_ok;
-    }
-    if (std::rename(tmp.c_str(), shadow.c_str()) != 0) {
-      util::Status renamed = util::Status::IoError(
-          "cannot seal shadow file " + shadow + ": " + std::strerror(errno));
-      std::remove(tmp.c_str());
-      remove_sidecar();
-      return renamed;
-    }
-  }
 
   if (staged.page_count > 0) {
     util::Status appended =
         pager_->AppendPhysicalPages(phys.data(), staged.page_count);
     if (appended.ok() && journal_ != nullptr) appended = pager_->Sync();
     if (!appended.ok()) {
-      if (shadowed) std::remove(shadow.c_str());
-      remove_sidecar();
       abort_on_no_space(appended);
       return appended;
     }
@@ -1456,11 +1146,9 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
   }
   if (injector.AtCrashPoint(util::CrashPoint::kCrashAfterEpochBump)) {
     return util::Status::IoError(
-        "injected crash after the update commit, before staging cleanup");
+        "injected crash after the update commit, before the new views are "
+        "registered");
   }
-
-  if (shadowed) std::remove(shadow.c_str());
-  remove_sidecar();
 
   {
     std::lock_guard<std::mutex> lock(registry_mu_);

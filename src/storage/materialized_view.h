@@ -106,19 +106,13 @@ struct RecoveryReport {
   /// Pager pages past the journal's durable prefix (a crash between the data
   /// append and the journal commit) that were truncated away.
   uint32_t orphan_pages_truncated = 0;
-  /// Leftover shadow files (sealed or tmp) from interrupted installs that
-  /// were deleted.
-  int orphan_shadows_removed = 0;
+  /// A "<path>.manifest.tmp" left by a checkpoint compaction that died
+  /// before its rename was deleted (the original journal stayed in force).
+  bool stale_checkpoint_removed = false;
   /// Update batches whose commit record never landed: replay rolled their
   /// installs back wholesale and recovery truncated the half-applied suffix,
   /// so the store reopened at the pre-batch epoch with the pre-batch views.
   uint64_t rolled_back_update_batches = 0;
-  /// Leftover delta spill files ("<base>.updatedelta") from interrupted
-  /// update batches that were deleted (pure staging, like shadows).
-  int orphan_delta_files_removed = 0;
-  /// A v1 binary journal was rewritten at the current format version (via a
-  /// checkpoint) so subsequent appends carry the versioned list encoding.
-  bool journal_upgraded = false;
   /// Views whose (re-)materialization a crash rolled back, plus quarantined
   /// views with no healthy replacement: the store serves without them, but a
   /// caller holding the source document should re-materialize each one.
@@ -132,15 +126,14 @@ struct RecoveryReport {
 ///   const MaterializedView* v = catalog.Materialize(doc, pattern, scheme);
 ///   ListCursor cursor(&v->list(0), catalog.pool());
 ///
-/// Durability (persistent catalogs): every view is installed via *shadow
-/// materialization* — its pages are staged in memory, written to a shadow
-/// file which is fsynced and sealed by rename, appended to the pager file in
-/// one contiguous write, fsynced again, and only then committed by an
-/// install record in the manifest journal ("<path>.manifest"). A crash at
-/// any instant leaves either the old catalog or the new one, never a
-/// half-installed view: Open() replays the journal, truncates uncommitted
-/// pager pages and torn journal tails, deletes orphan shadows, and reports
-/// rolled-back views in recovery_report().pending_rebuild.
+/// Durability (persistent catalogs): every view's pages are staged in
+/// memory, then installed as begin record -> one contiguous append to the
+/// pager file + fsync -> install record in the manifest journal
+/// ("<path>.manifest"). Only the install record makes the view exist, so a
+/// crash at any instant leaves either the old catalog or the new one, never
+/// a half-installed view: Open() replays the journal, truncates uncommitted
+/// pager pages and torn journal tails, and reports rolled-back views in
+/// recovery_report().pending_rebuild.
 ///
 /// Thread-safety: the view registry (views/quarantine/replacement maps) is
 /// mutex-guarded and the pager/pool are internally synchronized, so batch
@@ -224,11 +217,6 @@ class ViewCatalog {
   /// pattern — how a query's answer is stored back as a view (ViewJoin
   /// keeps its intermediate solutions in the view DAG structure precisely to
   /// enable this, paper Section IV-B feature 2). List schemes only.
-  const MaterializedView* MaterializeFromLists(
-      const xml::Document& doc, const tpq::TreePattern& pattern,
-      const std::vector<std::vector<xml::NodeId>>& solutions, Scheme scheme);
-
-  /// Recoverable variant of MaterializeFromLists.
   util::StatusOr<const MaterializedView*> TryMaterializeFromLists(
       const xml::Document& doc, const tpq::TreePattern& pattern,
       const std::vector<std::vector<xml::NodeId>>& solutions, Scheme scheme);
@@ -273,13 +261,6 @@ class ViewCatalog {
     std::vector<std::vector<xml::NodeId>> solutions;
   };
 
-  struct UpdateBatchOptions {
-    /// Serialized deltas larger than this spill to a "<path>.updatedelta"
-    /// sidecar (CRC-checked, re-read before merging, removed at commit);
-    /// crash artifacts are swept by recovery and reported by fsck.
-    size_t delta_spill_bytes = 1u << 20;
-  };
-
   struct UpdateBatchResult {
     /// Epoch of the kUpdateBegin record (the transaction's identity).
     uint64_t txn_epoch = 0;
@@ -287,8 +268,6 @@ class ViewCatalog {
     std::vector<const MaterializedView*> new_views;
     size_t delta_maintained = 0;
     size_t fully_rebuilt = 0;
-    /// The deltas took the spill-sidecar path.
-    bool deltas_spilled = false;
   };
 
   /// Applies one update batch atomically (see section comment). `doc` is the
@@ -300,12 +279,7 @@ class ViewCatalog {
   /// stored list (a removed label absent, an added label already present, a
   /// T-scheme spec without full_rebuild).
   util::StatusOr<UpdateBatchResult> ApplyUpdateBatch(
-      const xml::Document& doc, const std::vector<ViewUpdateSpec>& specs,
-      const UpdateBatchOptions& options);
-  util::StatusOr<UpdateBatchResult> ApplyUpdateBatch(
-      const xml::Document& doc, const std::vector<ViewUpdateSpec>& specs) {
-    return ApplyUpdateBatch(doc, specs, UpdateBatchOptions());
-  }
+      const xml::Document& doc, const std::vector<ViewUpdateSpec>& specs);
 
   // ---- Quarantine (fault-tolerant degradation) -----------------------------
   //
@@ -362,10 +336,6 @@ class ViewCatalog {
   /// old catalog state without the cache having to enumerate dependencies.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// Pre-journal name for epoch(), kept for callers of the old in-memory
-  /// version counter.
-  uint64_t version() const { return epoch(); }
-
   /// The healthy view with the given pattern serialization and scheme, or
   /// nullptr. Quarantined views (without a replacement) never match; a
   /// replaced view resolves to its latest replacement. The planner uses this
@@ -397,7 +367,7 @@ class ViewCatalog {
                                               uint32_t count,
                                               ListFormat format);
 
-  /// The shadow-materialization install protocol (see class comment). Takes
+  /// The journaled install protocol (see class comment). Takes
   /// ownership of `view`; on success the registered pointer is returned.
   util::StatusOr<const MaterializedView*> InstallView(
       std::unique_ptr<MaterializedView> view, StagedPages& staged);

@@ -89,18 +89,18 @@ class Pager {
 
   /// Serializes one page into its on-disk physical form: payload (`kPageSize`
   /// bytes) followed by the stamped footer {magic, id, CRC32(payload)}.
-  /// `out_phys` must hold kPhysicalPageSize bytes. Shadow-materialization
-  /// builds stage pages with their *final* ids through this, so the bytes
-  /// appended at install time are byte-identical to a direct WritePage.
+  /// `out_phys` must hold kPhysicalPageSize bytes. View installs stage pages
+  /// with their *final* ids through this, so the bytes appended at install
+  /// time are byte-identical to a direct WritePage.
   static void EncodePhysicalPage(PageId id, const void* payload,
                                  uint8_t* out_phys);
 
   /// Appends `count` already-encoded physical pages in one contiguous write.
   /// The pages must be stamped (EncodePhysicalPage) with ids
   /// `page_count() .. page_count()+count-1`; on success the pager's page
-  /// count covers them. This is the install step of shadow materialization —
-  /// the staged pages of a complete view land in the file with one
-  /// sequential write instead of page-at-a-time seeks.
+  /// count covers them. This is the data step of a view install — the
+  /// staged pages of a complete view land in the file with one sequential
+  /// write instead of page-at-a-time seeks.
   util::Status AppendPhysicalPages(const uint8_t* phys, uint32_t count);
 
   /// Rolls the file back to exactly `count` pages (count <= page_count()),
@@ -128,8 +128,8 @@ class Pager {
   util::Status Flush();
 
   /// Flushes and then fsyncs the backing file — the durability barrier of
-  /// the shadow-install protocol (data must be on the medium before the
-  /// journal commit record that makes it visible).
+  /// the install protocol (data must be on the medium before the journal
+  /// commit record that makes it visible).
   util::Status Sync();
 
   /// Flushes (persistent modes) and closes the backing file, latching the

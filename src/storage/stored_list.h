@@ -59,15 +59,14 @@ enum class ListFormat : uint8_t {
 /// directory: `page_first_entry[p]` is the entry index of page p's first
 /// record. Both formats may carry `page_first_start` fence keys (the first
 /// record's start label per page), which let seeks gallop across pages
-/// without touching them; lists decoded from v1 manifests have no fences
-/// and fall back to entry-level galloping.
+/// without touching them.
 struct StoredList {
   PageId first_page = kInvalidPage;
   uint32_t count = 0;
   RecordLayout layout;
   ListFormat format = ListFormat::kFixed;
   std::vector<uint32_t> page_first_entry;  // kDelta only
-  std::vector<uint32_t> page_first_start;  // fence keys; may be empty (v1)
+  std::vector<uint32_t> page_first_start;  // fence keys
 
   uint32_t RecordsPerPage() const {
     VJ_DCHECK(layout.RecordSize() != 0 &&
@@ -231,7 +230,7 @@ class ListCursor {
     if (list_ != nullptr && !list_->page_first_start.empty()) {
       return FindFirstStartBlocks(bound, probes, ck);
     }
-    // Entry-level gallop: memory mode or fenceless v1 lists.
+    // Entry-level gallop: memory-backed cursors and lists without fences.
     auto below = [&](EntryIndex i) { return StartAt(i) < bound; };
     auto on_probe = [&] {
       ++*probes;

@@ -6,10 +6,6 @@ const char* CrashPointName(CrashPoint point) {
   switch (point) {
     case CrashPoint::kNone:
       return "none";
-    case CrashPoint::kCrashBeforeRename:
-      return "before-rename";
-    case CrashPoint::kCrashAfterRename:
-      return "after-rename";
     case CrashPoint::kCrashAfterDataSync:
       return "after-data-sync";
     case CrashPoint::kCrashMidJournal:

@@ -16,16 +16,14 @@ enum class WriteFault {
   kNoSpace,     // the device is full (ENOSPC); nothing reaches the file
 };
 
-/// Simulated kill -9 instants inside the view-install protocol (shadow
-/// build -> seal rename -> data append+sync -> journal commit). When the
-/// armed point is reached the storage layer abandons the operation exactly
-/// as a crash would — no cleanup, no rollback, files left mid-flight — and
+/// Simulated kill -9 instants inside the view-install protocol (begin record
+/// -> data append+sync -> journal commit). When the armed point is reached
+/// the storage layer abandons the operation exactly as a crash would — no
+/// cleanup, no rollback, files left mid-flight — and
 /// surfaces kIoError("injected crash ..."); the crash-matrix test then
 /// reopens the store and asserts recovery.
 enum class CrashPoint {
   kNone = 0,
-  kCrashBeforeRename,   // shadow tmp fully written, not yet sealed
-  kCrashAfterRename,    // shadow sealed, main pager file untouched
   kCrashAfterDataSync,  // pages appended+synced to the main file, no commit
   kCrashMidJournal,     // journal commit record torn mid-record (short write)
   // Update-batch crash points (ApplyUpdateBatch): the batch is one manifest
@@ -33,7 +31,7 @@ enum class CrashPoint {
   // anywhere before the commit record must roll the whole batch back.
   kCrashMidDeltaMerge,    // some views of the batch installed, others not
   kCrashBeforeEpochBump,  // all views staged+installed, commit record missing
-  kCrashAfterEpochBump,   // commit durable; shadow + sidecars not yet removed
+  kCrashAfterEpochBump,   // commit durable; new views not yet registered
   // Checkpoint compaction crash point: the rewritten journal torn mid-write,
   // tmp left on disk, the original journal untouched.
   kCrashMidCompaction,

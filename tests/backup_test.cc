@@ -78,7 +78,7 @@ bool FileExists(const std::string& path) {
 /// Removes a store's files (pager, manifest, sidecars) plus leftovers.
 void CleanupStore(const std::string& path) {
   for (const char* suffix : {"", ".manifest", ".manifest.tmp", ".doc",
-                             ".doc.manifest", ".updatedelta", ".spill"}) {
+                             ".doc.manifest", ".spill"}) {
     std::remove((path + suffix).c_str());
   }
 }
@@ -527,8 +527,8 @@ TEST(EnospcTest, CheckpointCompactionEnospcLeavesOldJournalIntact) {
 }
 
 // Write-site matrix: with the free-space injector armed at several budgets,
-// every failing operation — shadow view builds, manifest appends, pager
-// page appends, update-delta handling — must surface as a typed
+// every failing operation — manifest appends, pager page appends (view
+// installs and update batches) — must surface as a typed
 // ResourceExhausted, leave no orphan files, and keep reads serving. fsck
 // vouches for the store afterwards at every budget.
 TEST(EnospcTest, WriteSiteMatrixFailsTypedWithNoOrphans) {
@@ -559,7 +559,7 @@ TEST(EnospcTest, WriteSiteMatrixFailsTypedWithNoOrphans) {
       ScopedFaultInjection fi;
       fi->ArmDiskBudget(budget);
 
-      // Shadow build + manifest append site: a new view materialization.
+      // Pager append + manifest append site: a new view materialization.
       auto added = engine.TryAddView("//x//b", Scheme::kElement);
       if (!added.ok()) {
         EXPECT_EQ(added.status().code(), StatusCode::kResourceExhausted)
@@ -594,9 +594,11 @@ TEST(EnospcTest, WriteSiteMatrixFailsTypedWithNoOrphans) {
       EXPECT_GE(no_space_seen, 1u);
     }
 
-    // No orphan shadow or sidecar files; fsck finds a clean store.
-    EXPECT_FALSE(FileExists(path + ".updatedelta"));
-    EXPECT_FALSE(FileExists(path + ".manifest.tmp"));
+    // Nothing beside the store and its journal; fsck finds a clean store.
+    EXPECT_EQ(testing::SiblingFiles(path, "."),
+              std::vector<std::string>{
+                  std::filesystem::path(path).filename().string() +
+                  ".manifest"});
     storage::FsckCatalogReport fsck = storage::FsckCatalog(path);
     EXPECT_FALSE(fsck.corrupt());
     EXPECT_FALSE(fsck.repair_needed());

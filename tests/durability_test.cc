@@ -1,14 +1,14 @@
 // Crash safety of the view store. The crash matrix simulates kill -9 at
-// every instant of the shadow-materialization install protocol (shadow
-// written / shadow sealed / data synced / journal record torn), reopens the
-// store, and asserts recovery leaves exactly the committed catalog: no
-// orphan shadow files, no uncommitted pages, identical query answers, and
-// the interrupted view re-queued for rebuilding. Around the matrix: manifest
-// journal torn-tail vs. bit-rot handling, refusal of text manifests, the
+// every instant of the journaled install protocol (data synced / journal
+// record torn), reopens the store, and asserts recovery leaves exactly the
+// committed catalog: no files beside the pager file and its journal, no
+// uncommitted pages, identical query answers, and the interrupted view
+// re-queued for rebuilding. Around the matrix: manifest journal torn-tail
+// vs. bit-rot handling, refusal of text and foreign-version journals, the
 // integrity scrubber (detect + heal, alone and under concurrent batch
-// queries), close-time flush surfacing, and the offline fsck/repair pipeline.
+// queries), close-time flush surfacing, and the offline fsck/repair
+// pipeline.
 
-#include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -16,6 +16,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "tests/test_util.h"
 #include "tpq/evaluator.h"
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
 
@@ -61,46 +64,18 @@ std::string TempPath(const std::string& name) {
   return std::string(::testing::TempDir()) + name;
 }
 
-/// Removes the store's files plus any shadow leftovers a previous (failed)
-/// test run may have parked in the shared temp directory.
+/// Removes the store's files plus a checkpoint tmp a previous (failed) test
+/// run may have parked in the shared temp directory.
 void CleanupStore(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".manifest").c_str());
   std::remove((path + ".manifest.tmp").c_str());
-  std::string dir = ".";
-  std::string base = path;
-  size_t slash = path.rfind('/');
-  if (slash != std::string::npos) {
-    dir = path.substr(0, slash);
-    base = path.substr(slash + 1);
-  }
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return;
-  const std::string prefix = base + ".shadow.";
-  while (struct dirent* entry = ::readdir(d)) {
-    std::string name = entry->d_name;
-    if (name.rfind(prefix, 0) == 0) std::remove((dir + "/" + name).c_str());
-  }
-  ::closedir(d);
 }
 
-int CountShadowFiles(const std::string& path) {
-  std::string dir = ".";
-  std::string base = path;
-  size_t slash = path.rfind('/');
-  if (slash != std::string::npos) {
-    dir = path.substr(0, slash);
-    base = path.substr(slash + 1);
-  }
-  int count = 0;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return 0;
-  const std::string prefix = base + ".shadow.";
-  while (struct dirent* entry = ::readdir(d)) {
-    if (std::string(entry->d_name).rfind(prefix, 0) == 0) ++count;
-  }
-  ::closedir(d);
-  return count;
+/// What testing::SiblingFiles(path, ".") holds for a store with no
+/// leftovers: its manifest journal alone.
+std::vector<std::string> JournalOnly(const std::string& path) {
+  return {std::filesystem::path(path).filename().string() + ".manifest"};
 }
 
 /// Fingerprints the answer of `query` evaluated over `views` in `catalog`.
@@ -189,7 +164,8 @@ TEST_P(CrashMatrixTest, ReopenAfterCrashMatchesCleanRun) {
                              << reopened.status().ToString();
   ViewCatalog& catalog = **reopened;
 
-  EXPECT_EQ(CountShadowFiles(path), 0) << CrashPointName(param.point);
+  EXPECT_EQ(testing::SiblingFiles(path, "."), JournalOnly(path))
+      << CrashPointName(param.point);
   const RecoveryReport& recovery = catalog.recovery_report();
   ASSERT_EQ(recovery.pending_rebuild.size(), 1u) << CrashPointName(param.point);
   EXPECT_EQ(recovery.pending_rebuild[0].first, target);
@@ -198,9 +174,6 @@ TEST_P(CrashMatrixTest, ReopenAfterCrashMatchesCleanRun) {
     // Data reached the file but the commit record did not: the uncommitted
     // pages are rolled back, not adopted.
     EXPECT_GT(recovery.orphan_pages_truncated, 0u);
-  }
-  if (param.point == CrashPoint::kCrashAfterRename) {
-    EXPECT_GT(recovery.orphan_shadows_removed, 0);  // the sealed shadow
   }
 
   // Only the committed view survived, and it still answers identically.
@@ -228,15 +201,6 @@ TEST_P(CrashMatrixTest, ReopenAfterCrashMatchesCleanRun) {
 INSTANTIATE_TEST_SUITE_P(
     AllPointsAllSchemes, CrashMatrixTest,
     ::testing::Values(
-        CrashCase{CrashPoint::kCrashBeforeRename, Scheme::kElement},
-        CrashCase{CrashPoint::kCrashBeforeRename, Scheme::kLinkedElement},
-        CrashCase{CrashPoint::kCrashBeforeRename,
-                  Scheme::kLinkedElementPartial},
-        CrashCase{CrashPoint::kCrashBeforeRename, Scheme::kTuple},
-        CrashCase{CrashPoint::kCrashAfterRename, Scheme::kElement},
-        CrashCase{CrashPoint::kCrashAfterRename, Scheme::kLinkedElement},
-        CrashCase{CrashPoint::kCrashAfterRename, Scheme::kLinkedElementPartial},
-        CrashCase{CrashPoint::kCrashAfterRename, Scheme::kTuple},
         CrashCase{CrashPoint::kCrashAfterDataSync, Scheme::kElement},
         CrashCase{CrashPoint::kCrashAfterDataSync, Scheme::kLinkedElement},
         CrashCase{CrashPoint::kCrashAfterDataSync,
@@ -310,40 +274,65 @@ TEST(ManifestJournalTest, MidFileCorruptionIsFatal) {
 }
 
 TEST(ManifestJournalTest, TextManifestIsRefused) {
-  // A "VIEWJOINCAT" plain-text manifest predates the journal. No store in
-  // that format exists, so it gets no converter: it is a file without the
-  // journal header, refused typed by Open and reported corrupt by fsck.
-  xml::Document doc = CrashDoc();
-  std::string path = TempPath("text_manifest.db");
-  CleanupStore(path);
-  {
-    ViewCatalog catalog(path, 64, /*persistent=*/true);
-    catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
-    ASSERT_TRUE(catalog.Close().ok());
-  }
-  {
-    std::FILE* f = std::fopen((path + ".manifest").c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("VIEWJOINCAT 1 1\nV 0 //a//b\nM 1 12 0\nG 1 1\nL 2\n", f);
-    std::fclose(f);
-  }
-  auto opened = ViewCatalog::Open(path, 64);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(opened.status().message().find("bad or truncated header"),
-            std::string::npos)
-      << opened.status().ToString();
+  // A "VIEWJOINCAT" plain-text manifest predates the journal, and a v1
+  // journal header names a list encoding no writer emits any more. No store
+  // in either format exists, so neither gets a converter: Open refuses both
+  // typed and fsck reports them corrupt.
+  struct Input {
+    const char* name;
+    const char* expected_message;
+  };
+  const Input inputs[] = {{"text", "bad or truncated header"},
+                          {"v1-header", "header fails validation"}};
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    xml::Document doc = CrashDoc();
+    std::string path = TempPath(std::string("refused_") + input.name + ".db");
+    CleanupStore(path);
+    {
+      ViewCatalog catalog(path, 64, /*persistent=*/true);
+      catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
+      ASSERT_TRUE(catalog.Close().ok());
+    }
+    const std::string journal = path + ".manifest";
+    if (std::string(input.name) == "text") {
+      std::FILE* f = std::fopen(journal.c_str(), "w");
+      ASSERT_NE(f, nullptr);
+      std::fputs("VIEWJOINCAT 1 1\nV 0 //a//b\nM 1 12 0\nG 1 1\nL 2\n", f);
+      std::fclose(f);
+    } else {
+      // Version 1 with a header CRC that matches it: only the version is
+      // wrong, so the refusal cannot come from the checksum.
+      std::FILE* f = std::fopen(journal.c_str(), "r+b");
+      ASSERT_NE(f, nullptr);
+      uint8_t header[16];
+      ASSERT_EQ(std::fread(header, 1, sizeof(header), f), sizeof(header));
+      const uint32_t version = 1;
+      std::memcpy(header + 8, &version, 4);
+      const uint32_t crc = util::Crc32(header, 12);
+      std::memcpy(header + 12, &crc, 4);
+      ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+      ASSERT_EQ(std::fwrite(header, 1, sizeof(header), f), sizeof(header));
+      std::fclose(f);
+    }
+    auto opened = ViewCatalog::Open(path, 64);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(opened.status().message().find(input.expected_message),
+              std::string::npos)
+        << opened.status().ToString();
 
-  FsckCatalogReport report = FsckCatalog(path);
-  EXPECT_EQ(report.manifest_status.code(), StatusCode::kCorruption);
-  EXPECT_TRUE(report.corrupt());
-  EXPECT_FALSE(report.clean());
-  // The command-line verdict: exit 1 (corrupt), not 0 and not an empty OK.
-  const std::string command =
-      std::string(VJ_FSCK_BIN) + " --quiet " + path;
-  int status = std::system(command.c_str());
-  ASSERT_TRUE(WIFEXITED(status)) << command;
-  EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+    FsckCatalogReport report = FsckCatalog(path);
+    EXPECT_EQ(report.manifest_status.code(), StatusCode::kCorruption);
+    EXPECT_TRUE(report.corrupt());
+    EXPECT_FALSE(report.clean());
+    // The command-line verdict: exit 1 (corrupt), not 0 and not an empty OK.
+    const std::string command =
+        std::string(VJ_FSCK_BIN) + " --quiet " + path;
+    int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+  }
 }
 
 TEST(ManifestJournalTest, CheckpointSurvivesHeaderShortWrite) {
@@ -561,14 +550,14 @@ TEST(FsckCatalogTest, CrashArtifactsAreFlaggedAndRepaired) {
   EXPECT_FALSE(before.corrupt());
   EXPECT_TRUE(before.repair_needed());
   EXPECT_GT(before.orphan_pages, 0u);
-  EXPECT_FALSE(before.orphan_shadows.empty());
+  EXPECT_FALSE(before.stale_checkpoint);
   EXPECT_EQ(before.pending_rebuild, 1u);
   EXPECT_EQ(before.corrupt_durable_pages, 0u);
 
   auto repaired = RepairCatalog(path);
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
   EXPECT_GT(repaired->orphan_pages_truncated, 0u);
-  EXPECT_GT(repaired->orphan_shadows_removed, 0);
+  EXPECT_FALSE(repaired->stale_checkpoint_removed);
   ASSERT_EQ(repaired->pending_rebuild.size(), 1u);
   EXPECT_EQ(repaired->pending_rebuild[0].first, "//a//b");
 

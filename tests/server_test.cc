@@ -737,6 +737,25 @@ TEST(DrainTest, DrainIsIdempotentAndSafeFromConcurrentCallers) {
   EXPECT_TRUE(fx.server->Drain());  // and again, long after
 }
 
+TEST(DrainTest, IdleKeepAliveClientDoesNotStallDrain) {
+  // The worker serving this client is parked waiting for its next request
+  // under a 10 s read deadline; Drain() must retire it within the drain read
+  // deadline instead of waiting that out.
+  ServerOptions options;
+  options.read_deadline_ms = 10000;
+  Fixture fx(10, options, {}, "drain_idle.db");
+  Client client = fx.Connected();
+  util::StatusOr<QueryResponse> response = client.Query(GroupRequest());
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->verdict, Verdict::kOk) << response->error;
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(fx.server->Drain());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+  EXPECT_EQ(fx.server->Snapshot().read_timeouts, 0u);
+}
+
 // ---- The engine's deadline timer -------------------------------------------
 
 TEST(DeadlineTimerTest, BatchAndServerSessionTimeOutThroughTheEngineTimer) {

@@ -7,12 +7,14 @@
 //     on random documents (post == pre + added - removed, per pattern node);
 //   - core::Engine::ApplyUpdates (delta maintenance vs. rebuild, the relabel
 //     fallback, per-op skip semantics, plan-cache invalidation, the strict
-//     VIEWJOIN_UPDATE_* env knobs, concurrent queries during a batch);
+//     VIEWJOIN_UPDATE_BATCH_SIZE knob, concurrent queries during a batch);
 //   - the update crash matrix: kill -9 simulated inside ApplyUpdateBatch at
-//     every transaction instant x every storage scheme, with the delta spill
-//     sidecar forced on — reopen must land exactly on the pre-batch or the
-//     post-batch catalog, with answers matching a clean run, no orphan
-//     shadows or sidecars, and no epoch reuse;
+//     every transaction instant x every storage scheme — reopen must land
+//     exactly on the pre-batch or the post-batch catalog, with answers
+//     matching a clean run, no files beside the store and its journal, and
+//     no epoch reuse;
+//   - write-once commits: every install and update batch charges the disk
+//     exactly its pager-file growth plus its journal growth;
 //   - manifest checkpoint compaction torn mid-write (the original journal
 //     must win) and vj_fsck's epoch-monotonicity reporting.
 
@@ -23,6 +25,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -78,18 +82,13 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-/// Removes the store plus every staging artifact a previous (failed) run may
-/// have left: manifest, checkpoint tmp, shadows, the delta spill sidecar.
+/// Removes the store plus what a previous (failed) run may have left: the
+/// manifest, a checkpoint tmp, the query spill file.
 void CleanupStore(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".manifest").c_str());
   std::remove((path + ".manifest.tmp").c_str());
-  std::remove((path + ".updatedelta").c_str());
   std::remove((path + ".spill").c_str());
-  for (int e = 0; e < 64; ++e) {
-    std::remove((path + ".shadow." + std::to_string(e)).c_str());
-    std::remove((path + ".shadow." + std::to_string(e) + ".tmp").c_str());
-  }
 }
 
 /// Fingerprints the answer of `query` over `views` (list schemes).
@@ -517,7 +516,7 @@ TEST(EngineUpdateTest, PlanCacheInvalidatesOnEpochBump) {
   EXPECT_EQ(third.match_count, fx.OracleCount());
 }
 
-// ---- Strict VIEWJOIN_UPDATE_* env knobs (util/env.h) ------------------------
+// ---- Strict VIEWJOIN_UPDATE_BATCH_SIZE knob (util/env.h) --------------------
 
 TEST(EngineUpdateEnvTest, BatchSizeCapRejectsOversizedBatches) {
   EngineFixture fx(Scheme::kLinkedElement);
@@ -541,33 +540,8 @@ TEST(EngineUpdateEnvTest, MalformedKnobsAreTypedErrorsNotDefaults) {
               std::string::npos)
         << result.status().ToString();
   }
-  {
-    ScopedSetenv env("VIEWJOIN_UPDATE_DELTA_SPILL_BYTES", "1MB");
-    auto result = fx.engine->ApplyUpdates(fx.CanonicalOps());
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(
-        result.status().message().find("VIEWJOIN_UPDATE_DELTA_SPILL_BYTES"),
-        std::string::npos)
-        << result.status().ToString();
-  }
   // The document was never touched by any of the rejected batches.
   EXPECT_EQ(fx.doc.revision(), 1u);  // the relabel only
-}
-
-TEST(EngineUpdateEnvTest, ForcedDeltaSpillRoundTripsAndCleansUp) {
-  EngineOptions options;
-  options.persistent = true;
-  EngineFixture fx(Scheme::kLinkedElement, options);
-  ScopedSetenv env("VIEWJOIN_UPDATE_DELTA_SPILL_BYTES", "1");
-  auto result = fx.engine->ApplyUpdates(fx.CanonicalOps());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->delta_maintained, 2u);
-  // The sidecar was written, re-read, merged from, and removed at commit.
-  EXPECT_FALSE(FileExists(fx.path + ".updatedelta"));
-  RunResult r = fx.engine->Execute(fx.query, {fx.v1, fx.v2});
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.match_count, fx.OracleCount());
 }
 
 // ---- Concurrent queries during update batches -------------------------------
@@ -896,16 +870,12 @@ TEST_P(UpdateCrashMatrixTest, ReopenLandsOnExactlyOneEpoch) {
       specs[1].full_rebuild = true;
     }
 
-    // Force the delta spill sidecar so the crash leaves it on disk too.
-    ViewCatalog::UpdateBatchOptions options;
-    options.delta_spill_bytes = 1;
-
     ScopedFaultInjection fi;
     // Mid-delta-merge fires at the top of the nth per-view install: nth=2
     // leaves view 0 installed and view 1 missing — the half-merged state.
     fi->ArmCrashPoint(param.point,
                       param.point == CrashPoint::kCrashMidDeltaMerge ? 2 : 1);
-    auto failed = victim.ApplyUpdateBatch(vic, specs, options);
+    auto failed = victim.ApplyUpdateBatch(vic, specs);
     ASSERT_FALSE(failed.ok()) << CrashPointName(param.point);
     EXPECT_NE(failed.status().message().find("injected crash"),
               std::string::npos)
@@ -914,16 +884,13 @@ TEST_P(UpdateCrashMatrixTest, ReopenLandsOnExactlyOneEpoch) {
     // Scope exit abandons the catalog with the mid-flight on-disk state.
   }
 
-  // The crash left its staging artifacts behind: the batch shadow and the
-  // spilled delta sidecar (cleanup runs only after the commit point).
-  EXPECT_TRUE(FileExists(path + ".updatedelta"));
-
-  // Offline fsck before recovery: artifacts, never corruption.
+  // Offline fsck before recovery: a batch cut down before its commit record
+  // is a crash artifact, never corruption; a committed one left nothing to
+  // repair (its pages and records were durable before the crash).
   FsckCatalogReport before = FsckCatalog(path);
   EXPECT_FALSE(before.corrupt()) << storage::ToJson(before);
-  EXPECT_TRUE(before.repair_needed());
+  EXPECT_EQ(before.repair_needed(), !committed) << storage::ToJson(before);
   EXPECT_EQ(before.epoch_regressions, 0u);
-  EXPECT_FALSE(before.orphan_delta_files.empty());
   EXPECT_GE(before.max_epoch, pre_epoch);
   if (!committed) {
     EXPECT_EQ(before.rolled_back_update_batches, 1u)
@@ -941,12 +908,11 @@ TEST_P(UpdateCrashMatrixTest, ReopenLandsOnExactlyOneEpoch) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ViewCatalog& catalog = **reopened;
 
-  // Staging artifacts are swept either way.
-  EXPECT_FALSE(FileExists(path + ".updatedelta"));
-  EXPECT_GE(catalog.recovery_report().orphan_delta_files_removed, 1);
-  for (int e = 0; e < 64; ++e) {
-    EXPECT_FALSE(FileExists(path + ".shadow." + std::to_string(e)));
-  }
+  // Nothing but the store and its journal, either way.
+  EXPECT_EQ(testing::SiblingFiles(path, "."),
+            std::vector<std::string>{
+                std::filesystem::path(path).filename().string() +
+                ".manifest"});
   if (!committed) {
     EXPECT_EQ(catalog.recovery_report().rolled_back_update_batches, 1u);
   } else {
@@ -1026,54 +992,75 @@ INSTANTIATE_TEST_SUITE_P(
         UpdateCrashCase{CrashPoint::kCrashAfterEpochBump, Scheme::kTuple}),
     UpdateCrashCaseName);
 
-// A torn delta sidecar (crash mid-spill-write) is a crash artifact: fsck
-// lists it, recovery sweeps it, nothing is corrupt.
-TEST(UpdateCrashTest, TornDeltaSidecarIsSweptOnReopen) {
-  const std::string path = TempPath("update_torn_sidecar.db");
+// ---- Write-once commits -----------------------------------------------------
+
+uint64_t FileBytes(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
+                                        : 0;
+}
+
+// Every install and every update batch writes its pages once, to the pager
+// file: the disk it is charged for is exactly what the pager file and the
+// journal grew by, and no staging file outlives the commit.
+TEST(WriteOnceTest, CommitsChargeExactlyPagerAndJournalGrowth) {
+  const std::string path = TempPath("write_once.db");
+  const std::string journal = path + ".manifest";
   CleanupStore(path);
-  const TreePattern p1 = MustParse("//a//b");
   xml::Document doc = MakeDoc(kMatrixDocSpec);
   ASSERT_TRUE(doc.RelabelWithGap(32).ok());
-  uint64_t pre_length = 0;
-  {
-    ViewCatalog victim(path, 128, /*persistent=*/true);
-    const MaterializedView* v1 = victim.Materialize(doc, p1, Scheme::kElement);
-    pre_length = v1->ListLength(0);
-    DeltaCollector collector(&doc, {p1});
-    MutateMatrixDoc(&doc, &collector);
-    std::vector<PatternDeltas> deltas = collector.TakeDeltas();
-    std::vector<ViewCatalog::ViewUpdateSpec> specs(1);
-    specs[0].view = v1;
-    specs[0].deltas.added = std::move(deltas[0].added);
-    specs[0].deltas.removed = std::move(deltas[0].removed);
-    ViewCatalog::UpdateBatchOptions options;
-    options.delta_spill_bytes = 1;
-    ScopedFaultInjection fi;
-    fi->ArmCrashPoint(CrashPoint::kCrashBeforeEpochBump);
-    ASSERT_FALSE(victim.ApplyUpdateBatch(doc, specs, options).ok());
+  const TreePattern pattern = MustParse("//a//b");
+  ViewCatalog catalog(path, 128, /*persistent=*/true);
+  // The pager header is written at creation but may still sit in the stdio
+  // buffer; flush it so it does not count as the first install's growth.
+  ASSERT_TRUE(catalog.pager()->Sync().ok());
+
+  ScopedFaultInjection fi;
+  fi->ArmDiskBudget(uint64_t{1} << 40);
+  auto expect_write_once = [&](const std::string& what,
+                               const std::function<void()>& step) {
+    const uint64_t budget = fi->disk_budget_remaining();
+    const uint64_t bytes = FileBytes(path) + FileBytes(journal);
+    step();
+    const uint64_t grown = FileBytes(path) + FileBytes(journal) - bytes;
+    EXPECT_GT(grown, 0u) << what;
+    EXPECT_EQ(budget - fi->disk_budget_remaining(), grown) << what;
+  };
+
+  std::vector<const MaterializedView*> list_views;
+  for (Scheme scheme : {Scheme::kElement, Scheme::kLinkedElement,
+                        Scheme::kLinkedElementPartial, Scheme::kTuple}) {
+    expect_write_once(std::string("install ") + storage::SchemeName(scheme),
+                      [&] {
+                        const MaterializedView* view =
+                            catalog.Materialize(doc, pattern, scheme);
+                        if (scheme != Scheme::kTuple) {
+                          list_views.push_back(view);
+                        }
+                      });
   }
-  // Tear the sidecar in half, as a crash mid-write would.
-  const std::string sidecar = path + ".updatedelta";
-  ASSERT_TRUE(FileExists(sidecar));
-  struct stat st;
-  ASSERT_EQ(::stat(sidecar.c_str(), &st), 0);
-  ASSERT_EQ(::truncate(sidecar.c_str(), st.st_size / 2), 0);
 
-  FsckCatalogReport report = FsckCatalog(path);
-  EXPECT_FALSE(report.corrupt()) << storage::ToJson(report);
-  ASSERT_EQ(report.orphan_delta_files.size(), 1u);
-  EXPECT_TRUE(report.repair_needed());
+  DeltaCollector collector(&doc, {pattern});
+  MutateMatrixDoc(&doc, &collector);
+  std::vector<PatternDeltas> deltas = collector.TakeDeltas();
+  std::vector<ViewCatalog::ViewUpdateSpec> specs(list_views.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    specs[i].view = list_views[i];
+    specs[i].deltas.added = deltas[0].added;
+    specs[i].deltas.removed = deltas[0].removed;
+  }
+  ASSERT_FALSE(specs[0].deltas.empty());
+  expect_write_once("update batch", [&] {
+    auto applied = catalog.ApplyUpdateBatch(doc, specs);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_EQ(applied->delta_maintained, specs.size());
+  });
+  EXPECT_EQ(fi->injected_no_space_faults(), 0u);
 
-  auto reopened = ViewCatalog::Open(path, 128);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_GE((*reopened)->recovery_report().orphan_delta_files_removed, 1);
-  EXPECT_FALSE(FileExists(sidecar));
-  // The rolled-back view is the pre-batch one, intact.
-  const MaterializedView* v = (*reopened)->FindView(p1.ToString(),
-                                                    Scheme::kElement);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->ListLength(0), pre_length);
-  EXPECT_TRUE((*reopened)->VerifyView(v).ok());
+  EXPECT_EQ(testing::SiblingFiles(path, "."),
+            std::vector<std::string>{
+                std::filesystem::path(path).filename().string() +
+                ".manifest"});
 }
 
 // ---- Checkpoint compaction torn mid-write (satellite: compaction fix) ------
@@ -1105,9 +1092,12 @@ TEST(CheckpointCrashTest, TornCompactionPreservesOriginalJournal) {
     EXPECT_TRUE(FileExists(path + ".manifest"));
   }
 
-  // fsck: the journal replays fine (the tmp never became the journal).
+  // fsck: the journal replays fine (the tmp never became the journal), and
+  // the tmp is flagged as a crash artifact.
   FsckCatalogReport report = FsckCatalog(path);
   EXPECT_FALSE(report.corrupt()) << storage::ToJson(report);
+  EXPECT_TRUE(report.stale_checkpoint) << storage::ToJson(report);
+  EXPECT_TRUE(report.repair_needed());
   EXPECT_EQ(report.last_epoch, epoch_before);
   EXPECT_EQ(report.view_count, 2u);
   EXPECT_EQ(report.epoch_regressions, 0u);
@@ -1116,6 +1106,8 @@ TEST(CheckpointCrashTest, TornCompactionPreservesOriginalJournal) {
   auto reopened = ViewCatalog::Open(path, 128);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ViewCatalog& catalog = **reopened;
+  EXPECT_TRUE(catalog.recovery_report().stale_checkpoint_removed);
+  EXPECT_FALSE(FileExists(path + ".manifest.tmp"));
   EXPECT_EQ(catalog.epoch(), epoch_before);
   const MaterializedView* r1 =
       catalog.FindView("//a//b", Scheme::kLinkedElement);

@@ -4,7 +4,7 @@
 // check is catalog-level: every page is scanned through the format-v2
 // checksum verification AND the journal is replayed and cross-checked
 // against the data file (durable prefix vs. file size, install-record page
-// ranges, torn tails, orphan shadow files). A bare pager file without a
+// ranges, torn tails, a stale checkpoint tmp). A bare pager file without a
 // manifest gets the page-level scan only.
 //
 // Document stores: --doc checks the given path as a paged base-document
@@ -24,8 +24,8 @@
 //   1  the file was read but is corrupt (bad header, checksum, footer,
 //      journal CRC mismatch, or journal/data inconsistency)
 //   2  usage error, or the file could not be read at all (missing, I/O)
-//   3  crash artifacts found (torn journal tail, uncommitted pages, orphan
-//      shadows, aborted doc-store builds) — recoverable;
+//   3  crash artifacts found (torn journal tail, uncommitted pages, a stale
+//      checkpoint tmp, aborted doc-store builds) — recoverable;
 //      with --repair they were repaired and the store is clean again
 //   4  the BASE DOCUMENT store is corrupt (and the view catalog, if any, is
 //      not) — a different failure domain: views rebuild from the document,
@@ -293,8 +293,11 @@ int main(int argc, char** argv) {
                   report.orphan_pages,
                   report.pager_tail_partial ? " (partial tail)" : "");
     }
-    for (const std::string& shadow : report.orphan_shadows) {
-      std::printf("orphan shadow: %s\n", shadow.c_str());
+    if (report.stale_checkpoint) {
+      std::printf("stale checkpoint: %s\n",
+                  viewjoin::storage::ManifestJournal::CheckpointTmpPath(
+                      viewjoin::storage::ManifestJournal::PathFor(path))
+                      .c_str());
     }
     std::printf("%s: %zu view(s), %zu quarantined, epoch %llu, "
                 "%u durable page(s), %u bad, %zu compressed list(s) verified\n",
@@ -336,12 +339,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!quiet) {
-    std::printf("repaired: %s%u orphan page(s) truncated, "
-                "%d orphan shadow(s) removed, %zu view(s) pending rebuild\n",
+    std::printf("repaired: %s%s%u orphan page(s) truncated, "
+                "%zu view(s) pending rebuild\n",
                 repaired->journal_tail_truncated ? "journal tail truncated, "
                                                  : "",
+                repaired->stale_checkpoint_removed
+                    ? "stale checkpoint removed, "
+                    : "",
                 repaired->orphan_pages_truncated,
-                repaired->orphan_shadows_removed,
                 repaired->pending_rebuild.size());
   }
   return CombineExit(3, doc_exit);
