@@ -59,9 +59,8 @@ BenchContext::BenchContext(xml::Document doc)
   core::EngineOptions options;
   options.pool_pages = 4096;
   // Every bench honors the out-of-core knobs (VIEWJOIN_DOC_MODE,
-  // VIEWJOIN_DOC_POOL_PAGES, VIEWJOIN_PARSE_BUDGET,
-  // VIEWJOIN_READAHEAD_PAGES), so any figure can be re-measured with the
-  // base document paged through a bounded pool.
+  // VIEWJOIN_DOC_POOL_PAGES, VIEWJOIN_READAHEAD_PAGES), so any figure can
+  // be re-measured with the base document paged through a bounded pool.
   util::Status env = core::ApplyEnvOptions(&options);
   VJ_CHECK(env.ok()) << env.ToString();
   engine_ = std::make_unique<core::Engine>(&doc_, storage_path_, options);

@@ -97,11 +97,6 @@ util::Status ApplyEnvOptions(EngineOptions* options) {
       static_cast<int64_t>(options->doc_pool_pages));
   if (!pool_pages.ok()) return pool_pages.status();
   options->doc_pool_pages = static_cast<size_t>(*pool_pages);
-  util::StatusOr<int64_t> budget = util::ParseNonNegativeIntEnv(
-      "VIEWJOIN_PARSE_BUDGET",
-      static_cast<int64_t>(options->doc_parse_budget_bytes));
-  if (!budget.ok()) return budget.status();
-  options->doc_parse_budget_bytes = static_cast<size_t>(*budget);
   util::StatusOr<int64_t> readahead = util::ParseNonNegativeIntEnv(
       "VIEWJOIN_READAHEAD_PAGES",
       static_cast<int64_t>(options->readahead_pages));
@@ -744,7 +739,6 @@ void Engine::RebuildDocStore() {
   doc_store_.reset();
   storage::DocumentStore::Options opts;
   opts.pool_pages = options_.doc_pool_pages;
-  opts.parse_budget_bytes = options_.doc_parse_budget_bytes;
   util::StatusOr<std::unique_ptr<storage::DocumentStore>> store =
       storage::DocumentStore::BuildFromDocument(storage_path_ + ".doc", *doc_,
                                                 opts);
@@ -905,6 +899,14 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
 
   UpdateResult out;
 
+  // Exclusive phase: waits out in-flight queries, then holds them off until
+  // the new document and the new views are both in place. Releasing it any
+  // earlier lets a query pair the new document (or document store) with the
+  // previous epoch's views and return a count that matches neither epoch;
+  // taking it after the view snapshot would let a query install a view the
+  // batch never maintains.
+  std::unique_lock<std::shared_mutex> doc_lock(doc_mu_);
+
   // Maintain the healthy tip of every replacement chain; quarantined views
   // without a replacement are already unusable and stay behind.
   std::vector<const MaterializedView*> maintain;
@@ -916,13 +918,12 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
     maintain.push_back(v);
     patterns.push_back(v->pattern());
   }
-  view::DeltaCollector collector(mutable_doc_, std::move(patterns));
 
-  // Exclusive phase: waits out in-flight queries, then holds them off from
-  // the first mutation until the new views are installed. Releasing it any
-  // earlier lets a query pair the new document (or document store) with the
-  // previous epoch's views and return a count that matches neither epoch.
-  std::unique_lock<std::shared_mutex> doc_lock(doc_mu_);
+  // The batch runs on a clone, swapped in only once the catalog has
+  // committed it: a refused batch (a full disk, a crash-injected abort)
+  // leaves the document exactly as the last committed epoch describes it.
+  xml::Document next = mutable_doc_->Clone();
+  view::DeltaCollector collector(&next, std::move(patterns));
   bool rebuild_all = false;
   {
     // Mutate and collect per-op deltas.
@@ -934,12 +935,11 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
       auto fail = [&](const std::string& reason) {
         out.failed.push_back("op " + std::to_string(i) + ": " + reason);
       };
-      const xml::TagId target_tag = mutable_doc_->FindTag(op.target_tag);
+      const xml::TagId target_tag = next.FindTag(op.target_tag);
       const xml::NodeId target =
           target_tag == xml::kInvalidTag
               ? xml::kInvalidNode
-              : mutable_doc_->FindByStart(target_tag,
-                                          op.target_start * label_scale);
+              : next.FindByStart(target_tag, op.target_start * label_scale);
       if (target == xml::kInvalidNode) {
         fail("no live node <" + op.target_tag + "> with start " +
              std::to_string(op.target_start));
@@ -947,7 +947,7 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
       }
       if (op.kind == UpdateOp::Kind::kDeleteSubtree) {
         if (!rebuild_all) collector.WillDelete(target);
-        util::Status deleted = mutable_doc_->DeleteSubtree(target);
+        util::Status deleted = next.DeleteSubtree(target);
         if (!deleted.ok()) {
           fail(deleted.ToString());
           continue;
@@ -958,11 +958,10 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
       }
       xml::NodeId after = xml::kInvalidNode;
       if (op.after_start != 0) {
-        const xml::TagId after_tag = mutable_doc_->FindTag(op.after_tag);
+        const xml::TagId after_tag = next.FindTag(op.after_tag);
         after = after_tag == xml::kInvalidTag
                     ? xml::kInvalidNode
-                    : mutable_doc_->FindByStart(after_tag,
-                                                op.after_start * label_scale);
+                    : next.FindByStart(after_tag, op.after_start * label_scale);
         if (after == xml::kInvalidNode) {
           fail("no live node <" + op.after_tag + "> with start " +
                std::to_string(op.after_start));
@@ -971,7 +970,7 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
       }
       if (!rebuild_all) collector.WillInsert(target);
       util::StatusOr<xml::NodeId> inserted =
-          mutable_doc_->InsertSubtree(op.subtree, target, after);
+          next.InsertSubtree(op.subtree, target, after);
       int relabels = 0;
       while (!inserted.ok() &&
              inserted.status().code() == util::StatusCode::kResourceExhausted &&
@@ -979,7 +978,7 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
         // The gap at the insertion point filled up: widen every gap and
         // retry. Stored labels are now all stale — every view rebuilds and
         // the deltas collected so far are moot.
-        util::Status relabel = mutable_doc_->RelabelWithGap(16);
+        util::Status relabel = next.RelabelWithGap(16);
         if (!relabel.ok()) {
           inserted = relabel;
           break;
@@ -988,7 +987,7 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
         label_scale *= 16;
         rebuild_all = true;
         out.relabeled = true;
-        inserted = mutable_doc_->InsertSubtree(op.subtree, target, after);
+        inserted = next.InsertSubtree(op.subtree, target, after);
       }
       if (!inserted.ok()) {
         fail(inserted.status().ToString());
@@ -997,11 +996,8 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
       if (!rebuild_all) collector.DidInsert(*inserted);
       ++out.applied;
     }
-    // Disk doc-mode: re-snapshot the paged store while the exclusive lock
-    // guarantees no cursor is live over the old pages.
-    if (out.applied > 0 || out.relabeled) RebuildDocStore();
   }
-  out.doc_revision = mutable_doc_->revision();
+  out.doc_revision = next.revision();
   if (out.applied == 0 && !out.relabeled) return out;  // document unchanged
 
   // Turn the collected deltas into per-view maintenance specs. Views whose
@@ -1018,8 +1014,7 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
     if (rebuild_all || v->scheme() == Scheme::kTuple) {
       spec.full_rebuild = true;
       if (v->scheme() != Scheme::kTuple) {
-        spec.solutions =
-            tpq::NaiveEvaluator(*mutable_doc_, v->pattern()).SolutionNodes();
+        spec.solutions = tpq::NaiveEvaluator(next, v->pattern()).SolutionNodes();
       }
     } else {
       spec.deltas.added = std::move(deltas[vi].added);
@@ -1027,22 +1022,30 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
     }
     specs.push_back(std::move(spec));
   }
-  if (specs.empty()) return out;  // no view touched: no transaction needed
 
   // Maintenance phase: ApplyUpdateBatch registers the whole batch
-  // atomically after its commit record lands; queries resume once it has.
-  util::StatusOr<storage::ViewCatalog::UpdateBatchResult> applied =
-      catalog_->ApplyUpdateBatch(*mutable_doc_, specs);
+  // atomically after its commit record lands. No view touched: no
+  // transaction needed, but the document still changed.
+  storage::ViewCatalog::UpdateBatchResult batch;
+  if (!specs.empty()) {
+    util::StatusOr<storage::ViewCatalog::UpdateBatchResult> applied =
+        catalog_->ApplyUpdateBatch(next, specs);
+    if (!applied.ok()) return applied.status();
+    batch = std::move(*applied);
+  }
+  *mutable_doc_ = std::move(next);
+  // Disk doc-mode: re-snapshot the paged store while the exclusive lock
+  // guarantees no cursor is live over the old pages.
+  RebuildDocStore();
   doc_lock.unlock();
-  if (!applied.ok()) return applied.status();
-  out.txn_epoch = applied->txn_epoch;
-  out.delta_maintained = applied->delta_maintained;
-  out.fully_rebuilt = applied->fully_rebuilt;
+  out.txn_epoch = batch.txn_epoch;
+  out.delta_maintained = batch.delta_maintained;
+  out.fully_rebuilt = batch.fully_rebuilt;
 
   // Post-commit verification: read back every freshly patched view through
   // the checksummed page path; a view that fails is quarantined (queries
   // fall back to rebuilding it) rather than served.
-  for (const MaterializedView* fresh : applied->new_views) {
+  for (const MaterializedView* fresh : batch.new_views) {
     util::Status verified = catalog_->VerifyView(fresh);
     if (!verified.ok()) {
       catalog_->Quarantine(fresh);

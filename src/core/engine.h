@@ -65,9 +65,6 @@ struct EngineOptions {
   DocMode doc_mode = DocMode::kMemory;
   /// Buffer-pool frames of the document store (disk doc-mode only).
   size_t doc_pool_pages = 1024;
-  /// In-memory budget of streaming document-store builds; beyond it the
-  /// builder spills sorted runs (disk doc-mode only).
-  size_t doc_parse_budget_bytes = size_t{64} << 20;
   /// Background read-ahead depth in pages (0 = off), applied to both the
   /// view catalog's and the document store's buffer pools.
   size_t readahead_pages = 0;
@@ -89,7 +86,6 @@ struct EngineOptions {
 /// Applies the strict environment knobs to `options` (util/env.h parsing):
 ///   VIEWJOIN_DOC_MODE         = "memory" | "disk"
 ///   VIEWJOIN_DOC_POOL_PAGES   = document-store buffer-pool frames
-///   VIEWJOIN_PARSE_BUDGET     = doc-store build spill budget in bytes
 ///   VIEWJOIN_READAHEAD_PAGES  = background read-ahead depth (0 = off)
 /// Unset variables leave their field untouched; malformed values are
 /// rejected with a typed InvalidArgument naming the variable and value.

@@ -17,47 +17,30 @@
 
 namespace viewjoin::storage {
 
-/// One record of the node arena (see DocumentStore). The disk image packs
-/// the six uint32 fields as two 12-byte pseudo-labels so the arena reuses
-/// the fixed-record page math of StoredList (RecordLayout{label_count=2}).
-struct StoredNode {
-  uint32_t start = 0;
-  uint32_t end = 0;
-  uint32_t level = 0;
-  xml::TagId tag = xml::kInvalidTag;
-  xml::NodeId parent = xml::kInvalidNode;
-
-  xml::Label label() const { return xml::Label{start, end, level}; }
-};
-
 /// Paged, persistent image of a base document — the out-of-core counterpart
 /// of xml::Document, built on the same Pager/BufferPool/StoredList stack the
 /// view catalog uses.
 ///
-/// Contents, all immutable once built:
-///   - one sorted label list per element type (the "element streams" every
-///     join algorithm scans), stored as fixed 12-byte records with per-page
-///     fence keys so ListCursor's block decode, galloping seeks and
-///     read-ahead all apply unchanged;
-///   - a node arena of 24-byte StoredNode records indexed by NodeId
-///     (preorder), which witness probes and structural checks read
-///     point-wise through pinned pages.
+/// Contents, immutable once built: one sorted label list per element type
+/// (the "element streams" every join algorithm scans), delta-encoded by the
+/// same codec as view lists (list_codec.h) with the same page directory, so
+/// ListCursor's block decode, galloping seeks and read-ahead all apply
+/// unchanged.
 ///
 /// The table of contents is a ManifestJournal checkpoint ("<path>.manifest")
-/// holding one install record per tag list — pattern is the tag name — plus
-/// one for the arena under the reserved pattern "#nodes" ('#' cannot start
-/// an XML name, so no tag collides). The checkpoint is written *after* the
-/// pager file is fsynced, making it the single atomic commit point: a store
-/// whose manifest exists is complete, a pager file without one is an
-/// aborted-build orphan. vj_fsck verifies both with the catalog machinery,
-/// since manifest patterns are opaque strings.
+/// holding one install record per tag list — pattern is the tag name. The
+/// checkpoint is written *after* the pager file is fsynced, making it the
+/// single atomic commit point: a store whose manifest exists is complete, a
+/// pager file without one is an aborted-build orphan. vj_fsck verifies both
+/// with the catalog machinery, since manifest patterns are opaque strings.
 ///
 /// Builds stream: the XML parser emits element events into the builder,
 /// which keeps at most `parse_budget_bytes` of label records in memory and
-/// spills sorted runs ("<path>.runN") beyond that, k-way merging them into
-/// list pages at Finish — peak memory is the budget plus one page per run,
-/// independent of document size. A failed or aborted build removes the
-/// pager file and every run file and writes no manifest (no orphans).
+/// spills (tag, start)-sorted runs ("<path>.runN") beyond that, k-way
+/// merging them into list pages at the end — peak memory is the budget plus
+/// one buffered batch per run and one open page, independent of document
+/// size. A failed or aborted build removes the pager file and every run
+/// file and writes no manifest (no orphans).
 class DocumentStore {
  public:
   struct Options {
@@ -81,17 +64,17 @@ class DocumentStore {
       const std::string& path, std::string_view xml, const Options& options);
 
   /// Snapshots an in-memory document into a fresh store at `path`. Labels
-  /// are copied verbatim — including gap labels and post-update id order —
-  /// so cursors over the store see byte-for-byte the labels the in-memory
-  /// streams hold, and NodeAt(id) agrees with doc.NodeLabel(id) for every
-  /// id (tombstoned nodes keep their record but leave the tag lists).
+  /// are copied verbatim — including gap labels — so cursors over the store
+  /// see exactly the labels the in-memory streams hold (tombstoned nodes are
+  /// not in them).
   static util::StatusOr<std::unique_ptr<DocumentStore>> BuildFromDocument(
       const std::string& path, const xml::Document& doc,
       const Options& options);
 
   /// Opens an existing store: replays the manifest checkpoint (kNotFound
-  /// when missing — the caller rebuilds) and validates the page ranges
-  /// against the pager file (kCorruption on mismatch).
+  /// when missing — the caller rebuilds) and validates every list's page
+  /// directory and page range against the pager file (ListInRange;
+  /// kCorruption on mismatch).
   static util::StatusOr<std::unique_ptr<DocumentStore>> Open(
       const std::string& path, const Options& options);
 
@@ -100,28 +83,17 @@ class DocumentStore {
   DocumentStore(const DocumentStore&) = delete;
   DocumentStore& operator=(const DocumentStore&) = delete;
 
-  /// The reserved manifest pattern of the node arena.
-  static constexpr const char* kNodesPattern = "#nodes";
-
   // ---- Tag table (same first-seen interning order as the parse) -----------
 
   xml::TagId FindTag(std::string_view name) const;
   const std::string& TagName(xml::TagId tag) const { return tag_names_[tag]; }
   size_t TagCount() const { return tag_names_.size(); }
 
-  // ---- Lists and nodes ----------------------------------------------------
+  // ---- Lists --------------------------------------------------------------
 
   /// The sorted label list of `tag`. Stable pointer (the store outlives any
   /// cursor over it); an unknown/absent tag yields a shared empty list.
   const StoredList* ListOfTag(xml::TagId tag) const;
-
-  /// Number of element records in the arena (== document NodeCount()).
-  uint64_t node_count() const { return nodes_list_.count; }
-
-  /// Point-reads one arena record through the buffer pool. Returns
-  /// kInvalidArgument past the arena, kCorruption/kIoError when the page
-  /// fails its read (poison pages are never decoded into a node).
-  util::StatusOr<StoredNode> NodeAt(xml::NodeId id) const;
 
   // ---- Plumbing -----------------------------------------------------------
 
@@ -150,7 +122,6 @@ class DocumentStore {
   std::vector<std::string> tag_names_;
   std::unordered_map<std::string, xml::TagId> tag_ids_;
   std::vector<StoredList> lists_;  // indexed by TagId; stable after build
-  StoredList nodes_list_;          // the "#nodes" arena
   StoredList empty_list_;          // returned for unknown tags
 };
 

@@ -1,6 +1,7 @@
 #include "storage/list_codec.h"
 
 #include <cstring>
+#include <string>
 
 #include "storage/pager.h"
 #include "storage/stored_list.h"
@@ -80,56 +81,81 @@ void EncodeRecord(const uint8_t* rec, uint32_t index,
 
 uint32_t MaxEncodedRecordSize(const RecordLayout& layout) {
   // Every field is a varint of a value that fits 34 bits (zigzagged 33-bit
-  // deltas, +1), i.e. at most 5 bytes.
-  uint32_t slots = layout.has_pointers ? 2 + layout.child_count : 0;
-  return 5 * (3 * layout.label_count + slots);
+  // deltas, +1), i.e. at most 5 bytes. Saturates rather than wraps, so an
+  // absurd layout read from a manifest still fails the page-fit guard.
+  uint64_t slots = layout.has_pointers ? 2ull + layout.child_count : 0;
+  uint64_t bytes = 5 * (3ull * layout.label_count + slots);
+  return bytes > 0xFFFFFFFFull ? 0xFFFFFFFFu : static_cast<uint32_t>(bytes);
 }
 
-util::StatusOr<DeltaEncoded> EncodeDeltaList(const uint8_t* records, uint32_t count,
-                                       const RecordLayout& layout) {
-  const uint32_t record_size = layout.RecordSize();
-  if (record_size == 0 ||
-      kPageHeaderSize + MaxEncodedRecordSize(layout) > Pager::kPageSize) {
+util::Status CheckLayoutFitsPage(const RecordLayout& layout) {
+  const uint64_t worst =
+      kPageHeaderSize + static_cast<uint64_t>(MaxEncodedRecordSize(layout));
+  if (layout.label_count == 0 || worst > Pager::kPageSize) {
     return util::Status::InvalidArgument(
-        "list record too wide for delta page encoding");
+        "list record (up to " + std::to_string(worst) +
+        " encoded bytes) does not fit a " + std::to_string(Pager::kPageSize) +
+        "-byte page; pattern fan-out too wide to materialize");
   }
+  return util::Status::Ok();
+}
+
+void DeltaListEncoder::ClosePage(std::vector<uint8_t>* closed) {
+  closed->assign(Pager::kPageSize, 0);
+  uint16_t n = static_cast<uint16_t>(page_records_);
+  std::memcpy(closed->data(), &n, 2);  // flags at [2,4) stay 0
+  std::memcpy(closed->data() + kPageHeaderSize, body_.data(), body_.size());
+  body_.clear();
+  page_records_ = 0;
+  prev_start_ = 0;
+}
+
+bool DeltaListEncoder::Add(const uint8_t* rec, std::vector<uint8_t>* closed) {
+  bool flushed = false;
+  scratch_.clear();
+  EncodeRecord(rec, count_, layout_, &prev_start_, &scratch_);
+  if (kPageHeaderSize + body_.size() + scratch_.size() > Pager::kPageSize) {
+    ClosePage(closed);
+    flushed = true;
+    // Re-encode with the fresh page's reset delta state.
+    scratch_.clear();
+    EncodeRecord(rec, count_, layout_, &prev_start_, &scratch_);
+  }
+  if (page_records_ == 0) {
+    uint32_t start;
+    std::memcpy(&start, rec, 4);
+    first_entry_.push_back(count_);
+    first_start_.push_back(start);
+  }
+  body_.insert(body_.end(), scratch_.begin(), scratch_.end());
+  ++page_records_;
+  ++count_;
+  return flushed;
+}
+
+bool DeltaListEncoder::Finish(std::vector<uint8_t>* closed) {
+  if (page_records_ == 0) return false;
+  ClosePage(closed);
+  return true;
+}
+
+util::StatusOr<DeltaEncoded> EncodeDeltaList(const uint8_t* records,
+                                             uint32_t count,
+                                             const RecordLayout& layout) {
+  util::Status fits = CheckLayoutFitsPage(layout);
+  if (!fits.ok()) return fits;
+  DeltaListEncoder encoder(layout);
   DeltaEncoded out;
-  std::vector<uint8_t> body;      // encoded records of the open page
-  std::vector<uint8_t> scratch;   // one speculatively encoded record
-  uint32_t page_records = 0;
-  uint32_t prev_start = 0;
-  uint32_t page_first = 0;
-  auto close_page = [&] {
-    std::vector<uint8_t> page(Pager::kPageSize, 0);
-    uint16_t n = static_cast<uint16_t>(page_records);
-    std::memcpy(page.data(), &n, 2);  // flags at [2,4) stay 0
-    std::memcpy(page.data() + kPageHeaderSize, body.data(), body.size());
-    out.pages.push_back(std::move(page));
-    body.clear();
-    page_records = 0;
-    prev_start = 0;
-  };
+  std::vector<uint8_t> page;
+  const size_t record_size = layout.RecordSize();
   for (uint32_t i = 0; i < count; ++i) {
-    const uint8_t* rec = records + static_cast<size_t>(i) * record_size;
-    scratch.clear();
-    EncodeRecord(rec, i, layout, &prev_start, &scratch);
-    if (kPageHeaderSize + body.size() + scratch.size() > Pager::kPageSize) {
-      close_page();
-      // Re-encode with the fresh page's reset delta state.
-      scratch.clear();
-      EncodeRecord(rec, i, layout, &prev_start, &scratch);
+    if (encoder.Add(records + i * record_size, &page)) {
+      out.pages.push_back(std::move(page));
     }
-    if (page_records == 0) {
-      page_first = i;
-      uint32_t start;
-      std::memcpy(&start, rec, 4);
-      out.page_first_entry.push_back(page_first);
-      out.page_first_start.push_back(start);
-    }
-    body.insert(body.end(), scratch.begin(), scratch.end());
-    ++page_records;
   }
-  if (page_records > 0) close_page();
+  if (encoder.Finish(&page)) out.pages.push_back(std::move(page));
+  out.page_first_entry = encoder.page_first_entry();
+  out.page_first_start = encoder.page_first_start();
   return out;
 }
 

@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "storage/stored_list.h"
 #include "util/status.h"
 
 namespace viewjoin::storage {
 
-struct RecordLayout;
-
-/// Prefix/delta varint codec for list pages (list format kDelta).
+/// Prefix/delta varint codec for list pages — the one on-page format of
+/// every stored list (view lists and document-store tag lists alike).
 ///
 /// Page payload layout (within the pager's 4096-byte logical page):
 ///
@@ -42,11 +42,48 @@ struct DeltaEncoded {
   std::vector<uint32_t> page_first_start;  // label 0 start of that record (fence key)
 };
 
-/// Encodes `count` fixed-layout records (the materializer's flat blob) into
-/// delta pages. InvalidArgument when a single worst-case record could not
-/// fit a page (the delta analogue of the fixed-format fan-out guard).
-util::StatusOr<DeltaEncoded> EncodeDeltaList(const uint8_t* records, uint32_t count,
-                                       const RecordLayout& layout);
+/// The record-width guard: InvalidArgument (naming the pattern fan-out)
+/// when one worst-case record of `layout` could not fit a page. Wide
+/// fan-out patterns grow LE records by one child pointer per pc/ad child.
+util::Status CheckLayoutFitsPage(const RecordLayout& layout);
+
+/// Streaming encoder: records arrive one at a time and each page is handed
+/// back as soon as the next record no longer fits it, so a long list is
+/// encoded holding one page rather than the whole list. The page directory
+/// accumulates as pages open.
+class DeltaListEncoder {
+ public:
+  /// `layout` must pass CheckLayoutFitsPage.
+  explicit DeltaListEncoder(const RecordLayout& layout) : layout_(layout) {}
+
+  /// Appends record number count() (one flat record of the layout). Returns
+  /// true when the open page had to be closed first; it is then in *closed.
+  bool Add(const uint8_t* rec, std::vector<uint8_t>* closed);
+  /// Closes the open page into *closed; false when it holds no record.
+  bool Finish(std::vector<uint8_t>* closed);
+
+  uint32_t count() const { return count_; }
+  const std::vector<uint32_t>& page_first_entry() const { return first_entry_; }
+  const std::vector<uint32_t>& page_first_start() const { return first_start_; }
+
+ private:
+  void ClosePage(std::vector<uint8_t>* closed);
+
+  RecordLayout layout_;
+  std::vector<uint8_t> body_;     // encoded records of the open page
+  std::vector<uint8_t> scratch_;  // one speculatively encoded record
+  uint32_t page_records_ = 0;
+  uint32_t prev_start_ = 0;
+  uint32_t count_ = 0;
+  std::vector<uint32_t> first_entry_;
+  std::vector<uint32_t> first_start_;
+};
+
+/// Encodes `count` records of the materializer's flat blob into delta
+/// pages. Fails with CheckLayoutFitsPage's error.
+util::StatusOr<DeltaEncoded> EncodeDeltaList(const uint8_t* records,
+                                             uint32_t count,
+                                             const RecordLayout& layout);
 
 /// Decodes one delta page into struct-of-arrays scratch. `starts`/`ends`/
 /// `levels` receive label_count * expected_records values (record-major);

@@ -18,6 +18,8 @@ using util::StatusOr;
 
 constexpr char kMagic[8] = {'V', 'J', 'M', 'A', 'N', 'I', 'F', 'J'};
 constexpr size_t kJournalHeaderSize = 16;
+/// Per-list format byte: every stored list is delta-encoded (list_codec.h).
+constexpr uint8_t kDeltaFormatByte = 1;
 
 // ---- Little-endian append/read helpers -------------------------------------
 
@@ -83,6 +85,8 @@ class PayloadReader {
   }
 
   bool failed() const { return failed_; }
+  /// Marks a field that read fine but holds a value no writer produces.
+  void Fail() { failed_ = true; }
   bool exhausted() const { return pos_ == size_; }
 
  private:
@@ -106,9 +110,9 @@ void EncodeStoredList(std::vector<uint8_t>& out, const StoredList& list) {
   PutU32(out, list.layout.label_count);
   PutU8(out, list.layout.has_pointers ? 1 : 0);
   PutU32(out, list.layout.child_count);
-  // Physical format plus the page directory (delta lists) and fence keys
-  // (both formats) that make page-level galloping possible.
-  PutU8(out, static_cast<uint8_t>(list.format));
+  // Format byte plus the page directory and fence keys that locate records
+  // and make page-level galloping possible.
+  PutU8(out, kDeltaFormatByte);
   PutU32(out, static_cast<uint32_t>(list.page_first_entry.size()));
   for (uint32_t e : list.page_first_entry) PutU32(out, e);
   PutU32(out, static_cast<uint32_t>(list.page_first_start.size()));
@@ -123,10 +127,12 @@ StoredList DecodeStoredList(PayloadReader& in) {
   list.layout.has_pointers = in.U8() != 0;
   list.layout.child_count = in.U32();
   uint8_t format = in.U8();
-  // An unknown format byte cannot pass the record CRC unless a newer writer
-  // produced it; degrade to fixed so ListInRange rejects cleanly.
-  list.format =
-      format <= 1 ? static_cast<ListFormat>(format) : ListFormat::kFixed;
+  // Stores written before every list was delta-encoded carry 0 on empty
+  // lists, which have no pages to decode. A non-empty list in any other
+  // format is a store this code cannot read.
+  if (format != kDeltaFormatByte && !(format == 0 && list.count == 0)) {
+    in.Fail();
+  }
   uint32_t dir_count = in.U32();
   if (dir_count > ManifestJournal::kMaxPayload / 4) dir_count = 0;
   list.page_first_entry.reserve(dir_count);

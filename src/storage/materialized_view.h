@@ -343,12 +343,6 @@ class ViewCatalog {
   const MaterializedView* FindView(const std::string& pattern_string,
                                    Scheme scheme) const;
 
-  /// Physical encoding for lists materialized after the call (existing views
-  /// keep the format they were built with; both read fine side by side).
-  /// Defaults from VIEWJOIN_LIST_FORMAT ("fixed"/"delta"; delta if unset).
-  ListFormat list_format() const { return list_format_; }
-  void set_list_format(ListFormat format) { list_format_ = format; }
-
  private:
   /// Payload pages of a view staged in memory before installation.
   struct StagedPages;
@@ -356,16 +350,14 @@ class ViewCatalog {
   ViewCatalog(const std::string& path, size_t pool_pages, bool persistent,
               Pager::Mode mode);
 
-  /// Lays `bytes` (records of `layout`) out into staged pages — verbatim
-  /// fixed records or delta-compressed varint pages per `format`; the
+  /// Encodes `bytes` (records of `layout`) into staged delta pages; the
   /// returned list's first_page is *relative* to the staged build until
   /// InstallView rebases it onto final page ids. InvalidArgument when a
   /// record cannot fit one page (pathological pattern fan-out).
   static util::StatusOr<StoredList> StageList(StagedPages& staged,
                                               const std::vector<uint8_t>& bytes,
                                               RecordLayout layout,
-                                              uint32_t count,
-                                              ListFormat format);
+                                              uint32_t count);
 
   /// The journaled install protocol (see class comment). Takes
   /// ownership of `view`; on success the registered pointer is returned.
@@ -417,7 +409,6 @@ class ViewCatalog {
   std::atomic<uint64_t> epoch_{1};
   RecoveryReport recovery_;
   bool persistent_ = false;
-  ListFormat list_format_ = ListFormat::kDelta;
 };
 
 }  // namespace viewjoin::storage

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -16,14 +15,15 @@
 namespace viewjoin::storage {
 
 /// Index of an entry within a stored list; the on-disk encoding of the LE
-/// scheme's child/descendant/following pointers. Entry indexes convert
-/// to/from the paper's (page number, byte offset) pairs arithmetically since
-/// records are fixed-size and never span pages.
+/// scheme's child/descendant/following pointers. The list's page directory
+/// maps an entry index to its page (the paper's (page, offset) pair);
+/// records never span pages.
 using EntryIndex = uint32_t;
 
 inline constexpr EntryIndex kNullEntry = 0xFFFFFFFFu;
 
-/// On-disk record layouts (all little-endian uint32 fields):
+/// Flat record layouts the materializer stages (all little-endian uint32
+/// fields) and EncodeDeltaList compresses into list pages:
 ///
 ///  element record  : start, end, level                          (12 bytes)
 ///  LE record       : start, end, level, following, descendant,
@@ -45,70 +45,45 @@ struct RecordLayout {
   }
 };
 
-/// Physical encoding of a list's pages.
-enum class ListFormat : uint8_t {
-  kFixed = 0,  // fixed-size records at arithmetic offsets (original format)
-  kDelta = 1,  // prefix/delta varint pages (list_codec.h) + page directory
-};
-
-/// Metadata of one immutable list stored in a pager file. Created by the
-/// materializer; read through ListCursor.
+/// Metadata of one immutable list stored in a pager file: prefix/delta
+/// varint pages (list_codec.h) holding a variable number of whole records.
+/// Created by the materializer and the document store; read through
+/// ListCursor.
 ///
-/// kFixed lists locate entries arithmetically (PageOf/OffsetOf). kDelta
-/// pages hold a variable number of whole records, so they carry a page
-/// directory: `page_first_entry[p]` is the entry index of page p's first
-/// record. Both formats may carry `page_first_start` fence keys (the first
-/// record's start label per page), which let seeks gallop across pages
-/// without touching them.
+/// The page directory locates records: `page_first_entry[p]` is the entry
+/// index of page p's first record and `page_first_start[p]` its start label
+/// (the fence key that lets seeks gallop across pages without touching
+/// them). A non-empty list has one directory slot per page.
 struct StoredList {
   PageId first_page = kInvalidPage;
   uint32_t count = 0;
   RecordLayout layout;
-  ListFormat format = ListFormat::kFixed;
-  std::vector<uint32_t> page_first_entry;  // kDelta only
-  std::vector<uint32_t> page_first_start;  // fence keys
+  std::vector<uint32_t> page_first_entry;
+  std::vector<uint32_t> page_first_start;
 
-  uint32_t RecordsPerPage() const {
-    VJ_DCHECK(layout.RecordSize() != 0 &&
-              layout.RecordSize() <= Pager::kPageSize);
-    return static_cast<uint32_t>(Pager::kPageSize) / layout.RecordSize();
-  }
-  /// Page/offset of an entry — the paper's pointer representation.
-  PageId PageOf(EntryIndex i) const {
-    VJ_DCHECK(format == ListFormat::kFixed);
-    return first_page + i / RecordsPerPage();
-  }
-  uint32_t OffsetOf(EntryIndex i) const {
-    VJ_DCHECK(format == ListFormat::kFixed);
-    return (i % RecordsPerPage()) * layout.RecordSize();
-  }
   uint32_t PageSpan() const {
-    if (format == ListFormat::kDelta) {
-      return static_cast<uint32_t>(page_first_entry.size());
-    }
-    if (count == 0) return 0;
-    return (count + RecordsPerPage() - 1) / RecordsPerPage();
+    return static_cast<uint32_t>(page_first_entry.size());
   }
-  /// Zero-based page holding entry `i`.
+  /// Zero-based page holding entry `i`: the last directory slot with
+  /// first_entry <= i.
   uint32_t PageIndexOf(EntryIndex i) const {
-    if (format == ListFormat::kFixed) return i / RecordsPerPage();
-    // Last directory slot with first_entry <= i.
-    uint32_t p = simd::LowerBoundGt(
-        page_first_entry.data(),
-        static_cast<uint32_t>(page_first_entry.size()), i);
+    uint32_t p = simd::LowerBoundGt(page_first_entry.data(), PageSpan(), i);
     VJ_DCHECK(p > 0);
     return p - 1;
   }
-  EntryIndex FirstEntryOfPage(uint32_t p) const {
-    if (format == ListFormat::kFixed) return p * RecordsPerPage();
-    return page_first_entry[p];
-  }
+  EntryIndex FirstEntryOfPage(uint32_t p) const { return page_first_entry[p]; }
   uint32_t RecordsOnPage(uint32_t p) const {
     EntryIndex first = FirstEntryOfPage(p);
     EntryIndex next = p + 1 < PageSpan() ? FirstEntryOfPage(p + 1) : count;
     return next - first;
   }
 };
+
+/// Validates list metadata read from a manifest against a pager file of
+/// `pages` pages: the layout's worst-case record fits a page, the page
+/// directory is complete and monotone, and every page lies inside the file.
+/// A list that fails would send cursors to arbitrary pages or offsets.
+bool ListInRange(const StoredList& list, uint32_t pages);
 
 /// Result of a non-moving skip search (FindFirstStart).
 struct SeekOutcome {
@@ -131,13 +106,12 @@ struct BlockView {
 /// (how pointer jumps land). The cursor reads by block: it holds a *pin* on
 /// the page of its current entry — so the page cannot be evicted (and its
 /// pointer never dangles) while the cursor sits on it, even when other
-/// queries thrash the shared pool concurrently — and decodes that page into
-/// per-cursor struct-of-arrays scratch, serving LabelAt/pointer reads and
-/// the galloping/SIMD skip primitives from the decoded arrays. Fixed-format
-/// pages decode lazily per field (sparse point reads go straight to the
-/// pinned page); delta pages decode whole (varints have no random access).
-/// A page that fails to read (the pool's poison page, 0xFF-filled) or fails
-/// delta decode yields sentinel records — 0xFFFFFFFF labels, null pointers.
+/// queries thrash the shared pool concurrently — and decodes that whole page
+/// on landing (varints have no random access) into per-cursor
+/// struct-of-arrays scratch, serving LabelAt/pointer reads and the
+/// galloping/SIMD skip primitives from the decoded arrays. A page that fails
+/// to read (the pool's poison page, 0xFF-filled) or fails delta decode
+/// yields sentinel records — 0xFFFFFFFF labels, null pointers.
 ///
 /// A second, memory-backed mode wraps a plain label array instead of a pager
 /// list: the base-document fallback streams the document's own tag lists
@@ -182,18 +156,7 @@ class ListCursor {
       VJ_DCHECK(!AtEnd());
       return mem_labels_[index_];
     }
-    EnsureBlock(index_, 0);
-    if ((block_.fields & kLabelFields) != kLabelFields) {
-      // Undecoded fixed page: read the one record directly until the page
-      // has seen enough traffic to be worth de-interleaving.
-      if (block_.point_reads < kDecodeAfterPointReads) {
-        ++block_.point_reads;
-        uint32_t off = index_ - block_.first;
-        return {FixedFieldAt(off, 12 * k), FixedFieldAt(off, 12 * k + 4),
-                FixedFieldAt(off, 12 * k + 8)};
-      }
-      EnsureBlock(index_, kLabelFields);
-    }
+    EnsureBlock(index_);
     uint32_t slot = (index_ - block_.first) * list_->layout.label_count + k;
     return {block_.starts[slot], block_.ends[slot], block_.levels[slot]};
   }
@@ -209,7 +172,7 @@ class ListCursor {
   /// Decoded block containing the current entry (block-capable only).
   BlockView CurrentBlock() const {
     VJ_DCHECK(block_capable() && !AtEnd());
-    EnsureBlock(index_, kLabelFields);
+    EnsureBlock(index_);
     return {block_.first, block_.count, block_.starts.data(),
             block_.ends.data(), block_.levels.data()};
   }
@@ -227,10 +190,8 @@ class ListCursor {
       ++bound;  // first start > old bound == first start >= bound+1
     }
     if (index_ >= size()) return {size(), false};
-    if (list_ != nullptr && !list_->page_first_start.empty()) {
-      return FindFirstStartBlocks(bound, probes, ck);
-    }
-    // Entry-level gallop: memory-backed cursors and lists without fences.
+    if (list_ != nullptr) return FindFirstStartBlocks(bound, probes, ck);
+    // Entry-level gallop over a memory-backed cursor.
     auto below = [&](EntryIndex i) { return StartAt(i) < bound; };
     auto on_probe = [&] {
       ++*probes;
@@ -254,37 +215,8 @@ class ListCursor {
     VJ_DCHECK(mem_labels_ != nullptr || list_->layout.label_count == 1);
     if (list_ != nullptr) {
       while (index_ < size()) {
-        EnsureBlock(index_, 0);
-        uint32_t offset = index_ - block_.first;
-        if ((block_.fields & kEndsField) == 0 &&
-            block_.point_reads < kDecodeAfterPointReads) {
-          // Undecoded fixed page: step directly off the page first. Most
-          // pointer-jump landing zones qualify within a few entries, and
-          // de-interleaving a whole page for them costs more than it saves.
-          // Sustained traffic trips the decode.
-          bool stopped = false;
-          uint32_t passed = 0;
-          while (offset < block_.count &&
-                 block_.point_reads < kDecodeAfterPointReads) {
-            ++block_.point_reads;
-            if (FixedFieldAt(offset, 4) >= bound) {
-              stopped = true;
-              break;
-            }
-            ++offset;
-            ++passed;
-          }
-          *scanned += passed;
-          index_ = block_.first + offset;
-          if (ck(passed > 0 ? passed : 1)) return true;
-          if (stopped) return false;
-          if (offset >= block_.count) {
-            if (one_block) return false;
-            continue;
-          }
-        }
-        EnsureBlock(index_, kEndsField);
-        offset = index_ - block_.first;
+        EnsureBlock(index_);
+        const uint32_t offset = index_ - block_.first;
         uint32_t pos = offset + simd::FirstGe(block_.ends.data() + offset,
                                               block_.count - offset, bound);
         uint32_t passed = pos - offset;
@@ -326,32 +258,8 @@ class ListCursor {
     }
     if (list_ != nullptr) {
       while (index_ < size()) {
-        EnsureBlock(index_, 0);
-        uint32_t offset = index_ - block_.first;
-        if ((block_.fields & kStartsField) == 0 &&
-            block_.point_reads < kDecodeAfterPointReads) {
-          // Same landing-zone fast path as SkipEndsBelow: probe the fixed
-          // page directly until the adaptive threshold trips a decode.
-          bool stopped = false;
-          uint32_t passed = 0;
-          while (offset < block_.count &&
-                 block_.point_reads < kDecodeAfterPointReads) {
-            ++block_.point_reads;
-            if (FixedFieldAt(offset, 0) >= bound) {
-              stopped = true;
-              break;
-            }
-            ++offset;
-            ++passed;
-          }
-          *scanned += passed;
-          index_ = block_.first + offset;
-          if (ck(passed > 0 ? passed : 1)) return true;
-          if (stopped) return false;
-          if (offset >= block_.count) continue;
-        }
-        EnsureBlock(index_, kStartsField);
-        offset = index_ - block_.first;
+        EnsureBlock(index_);
+        const uint32_t offset = index_ - block_.first;
         uint32_t pos = offset + simd::LowerBoundGe(block_.starts.data() + offset,
                                                    block_.count - offset, bound);
         uint32_t passed = pos - offset;
@@ -371,29 +279,8 @@ class ListCursor {
   }
 
  private:
-  /// Which SoA arrays of the current block hold decoded data. Delta pages
-  /// decode everything in one pass (varints have no random access); fixed
-  /// pages decode *lazily per field* — a pointer-jump landing that reads two
-  /// labels must not pay for de-interleaving a whole page of records.
-  enum BlockField : uint32_t {
-    kStartsField = 1,
-    kEndsField = 2,
-    kLevelsField = 4,
-    kPointersField = 8,
-    kLabelFields = kStartsField | kEndsField | kLevelsField,
-    kAllBlockFields = kLabelFields | kPointersField,
-  };
-
-  /// Point reads served straight off an undecoded fixed page before the
-  /// cursor decodes it: sparse landings (pointer chasing) stay cheap, while
-  /// a page that sees sustained traffic (sequential scans, repeated seeks)
-  /// trips the decode and amortizes it over the rest of the page.
-  static constexpr uint32_t kDecodeAfterPointReads = 16;
-
   struct Block {
-    bool valid = false;      // first/count/pin describe the current page
-    uint32_t fields = 0;     // BlockField bitmask of decoded arrays
-    uint32_t point_reads = 0;  // direct reads on this page so far
+    bool valid = false;  // first/count/pin/arrays describe the current page
     EntryIndex first = 0;
     uint32_t count = 0;
     std::vector<uint32_t> starts;    // label_count-strided, record-major
@@ -402,30 +289,15 @@ class ListCursor {
     std::vector<uint32_t> pointers;  // PointerSlots()-strided
   };
 
-  /// Makes block_ describe (and pin_ hold) the page containing entry `i`,
-  /// with at least the `wanted` BlockField arrays decoded. Landing on a
-  /// delta page decodes everything; landing on a fixed page decodes nothing
-  /// until a field is wanted. No-op when already satisfied.
-  void EnsureBlock(EntryIndex i, uint32_t wanted) const;
+  /// Makes block_ describe (and pin_ hold) the decoded page containing
+  /// entry `i`. No-op when the cursor already sits on that page.
+  void EnsureBlock(EntryIndex i) const;
 
   /// Queues background fetches for the pages after `page` (a page index
   /// within the list), up to the pool's read-ahead depth and clamped to the
   /// list's page span. Tracks the furthest page already queued so a cursor
   /// grinding through one page does not re-enqueue its successors.
   void MaybeReadAhead(uint32_t page) const;
-
-  /// One uint32 field of the record at `offset` within the current *fixed*
-  /// block, read straight off the pinned page (`byte_off` is the field's
-  /// offset within the record). The undecoded point-read path.
-  uint32_t FixedFieldAt(uint32_t offset, uint32_t byte_off) const {
-    uint32_t value;
-    std::memcpy(&value,
-                pin_.data() +
-                    static_cast<size_t>(offset) * list_->layout.RecordSize() +
-                    byte_off,
-                4);
-    return value;
-  }
 
   /// Fence-directed seek: gallop page fences, then binary-search one block.
   template <typename Ck>
@@ -452,32 +324,11 @@ class ListCursor {
       return {std::max(index_, safe), true};
     }
     uint32_t page = fence.pos > from_page ? fence.pos - 1 : from_page;
-    EnsureBlock(list_->FirstEntryOfPage(page), 0);
+    EnsureBlock(list_->FirstEntryOfPage(page));
     ++*probes;  // the block's binary search touches one page
     if (ck(1)) return {std::max(index_, block_.first), true};
-    uint32_t pos;
-    if ((block_.fields & kStartsField) != 0) {
-      pos = simd::LowerBoundGe(block_.starts.data(), block_.count, bound);
-    } else {
-      // Undecoded fixed page: a log2(n) strided binary search beats
-      // de-interleaving the page for a single seek; repeated seeks against
-      // the same page accumulate point reads and trip the decode.
-      uint32_t lo = 0;
-      uint32_t hi = block_.count;
-      while (lo < hi) {
-        uint32_t mid = lo + (hi - lo) / 2;
-        if (FixedFieldAt(mid, 0) < bound) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      pos = lo;
-      block_.point_reads += 8;  // ~the search's probe count
-      if (block_.point_reads >= kDecodeAfterPointReads) {
-        EnsureBlock(block_.first, kStartsField);
-      }
-    }
+    const uint32_t pos =
+        simd::LowerBoundGe(block_.starts.data(), block_.count, bound);
     EntryIndex found = pos < block_.count
                            ? block_.first + pos
                            : (page + 1 < pages
@@ -492,13 +343,7 @@ class ListCursor {
 
   EntryIndex PointerAt(uint32_t slot) const {
     VJ_DCHECK(list_ != nullptr && list_->layout.has_pointers);
-    EnsureBlock(index_, 0);
-    if ((block_.fields & kPointersField) == 0) {
-      // Fixed pages never SoA-decode pointers: each is read at most a
-      // couple of times per record, so the direct read always wins.
-      return FixedFieldAt(index_ - block_.first,
-                          12 * list_->layout.label_count + 4 * slot);
-    }
+    EnsureBlock(index_);
     uint32_t idx =
         (index_ - block_.first) * list_->layout.PointerSlots() + slot;
     return block_.pointers[idx];

@@ -6,6 +6,25 @@
 
 namespace viewjoin::xml {
 
+Document Document::Clone() const {
+  Document copy;
+  copy.labels_ = labels_;
+  copy.tags_ = tags_;
+  copy.parents_ = parents_;
+  copy.first_child_ = first_child_;
+  copy.last_child_ = last_child_;
+  copy.next_sibling_ = next_sibling_;
+  copy.deleted_ = deleted_;
+  copy.tag_names_ = tag_names_;
+  copy.tag_ids_ = tag_ids_;
+  copy.nodes_by_tag_ = nodes_by_tag_;
+  copy.open_stack_ = open_stack_;
+  copy.next_pos_ = next_pos_;
+  copy.deleted_count_ = deleted_count_;
+  copy.revision_ = revision_;
+  return copy;
+}
+
 TagId Document::InternTag(std::string_view name) {
   auto it = tag_ids_.find(std::string(name));
   if (it != tag_ids_.end()) return it->second;

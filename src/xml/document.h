@@ -43,6 +43,10 @@ class Document {
   Document(Document&&) = default;
   Document& operator=(Document&&) = default;
 
+  /// Deep copy, explicit so a large document is never copied by accident.
+  /// Live updates run a batch on a clone and swap it in once it commits.
+  Document Clone() const;
+
   // ---- Tag table -----------------------------------------------------------
 
   /// Interns `name`, returning its dense id (existing id if already known).

@@ -1,19 +1,22 @@
 // Block-at-a-time cursor tests: the SIMD scan kernels against scalar
 // references, the overflow-safe gallop helper, the delta codec round trip,
-// randomized differential checks of fixed, delta and memory cursors against
+// randomized differential checks of delta and memory cursors against
 // the naive evaluator's solution lists, the wide-fan-out materialization guard,
 // abort soundness of the skip primitives, and fsck's verification of the
-// compressed list format.
+// compressed list format in view catalogs and document stores.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "storage/buffer_pool.h"
+#include "storage/document_store.h"
 #include "storage/fsck.h"
 #include "storage/list_codec.h"
 #include "storage/list_search.h"
@@ -34,7 +37,6 @@ using storage::GallopLowerBound;
 using storage::GallopResult;
 using storage::kNullEntry;
 using storage::ListCursor;
-using storage::ListFormat;
 using storage::MaterializedView;
 using storage::Pager;
 using storage::RecordLayout;
@@ -141,7 +143,7 @@ TEST(GallopTest, AbortStopsImmediatelyWithAProvenBound) {
 
 // ---- Delta codec ------------------------------------------------------------
 
-/// Builds a random fixed-layout record blob with sorted label-0 starts,
+/// Builds a random flat record blob with sorted label-0 starts,
 /// occasional duplicate starts, and pointers mixing nulls, self-area
 /// references, and far jumps — the shapes the zigzag encoder must survive.
 std::vector<uint8_t> RandomRecords(util::Rng* rng, uint32_t count,
@@ -253,7 +255,7 @@ TEST(DeltaCodecTest, GarbagePageIsRejectedNotMisdecoded) {
                    .ok());
 }
 
-// ---- Differential: every list format against the oracle ---------------------
+// ---- Differential: pager and memory cursors against the oracle --------------
 
 struct CursorStore {
   std::unique_ptr<ViewCatalog> catalog;
@@ -261,15 +263,14 @@ struct CursorStore {
 };
 
 CursorStore BuildStore(const xml::Document& doc, const char* path,
-                       ListFormat format, Scheme scheme) {
+                       Scheme scheme) {
   CursorStore store;
   store.catalog = std::make_unique<ViewCatalog>(TempPath(path), 128);
-  store.catalog->set_list_format(format);
   store.view = store.catalog->Materialize(doc, MustParse("//a//b"), scheme);
   return store;
 }
 
-TEST(BlockCursorTest, FixedDeltaAndMemoryCursorsAgreeWithOracle) {
+TEST(BlockCursorTest, DeltaAndMemoryCursorsAgreeWithOracle) {
   util::Rng rng(23);
   for (uint64_t seed : {1u, 2u, 3u}) {
     util::Rng doc_rng(seed);
@@ -277,10 +278,7 @@ TEST(BlockCursorTest, FixedDeltaAndMemoryCursorsAgreeWithOracle) {
         testing::RandomDoc(&doc_rng, 3000, {"a", "b", "c"});
     for (Scheme scheme :
          {Scheme::kLinkedElement, Scheme::kLinkedElementPartial}) {
-      CursorStore fixed =
-          BuildStore(doc, "diff_fixed.db", ListFormat::kFixed, scheme);
-      CursorStore delta =
-          BuildStore(doc, "diff_delta.db", ListFormat::kDelta, scheme);
+      CursorStore delta = BuildStore(doc, "diff_delta.db", scheme);
 
       // Reference labels: the naive evaluator's b solutions, in document
       // order. Reference following pointers, brute force: the first later
@@ -294,7 +292,7 @@ TEST(BlockCursorTest, FixedDeltaAndMemoryCursorsAgreeWithOracle) {
       }
       const uint32_t n = static_cast<uint32_t>(labels.size());
       ASSERT_GT(n, 0u);
-      ASSERT_EQ(fixed.view->list(1).count, n);
+      ASSERT_EQ(delta.view->list(1).count, n);
       std::vector<EntryIndex> follows(n, kNullEntry);
       for (uint32_t i = 0; i < n; ++i) {
         for (uint32_t j = i + 1; j < n; ++j) {
@@ -309,16 +307,14 @@ TEST(BlockCursorTest, FixedDeltaAndMemoryCursorsAgreeWithOracle) {
       }
 
       auto never = [](uint32_t) { return false; };
-      for (const CursorStore* store : {&fixed, &delta}) {
-        const int variant = store == &fixed ? 0 : 1;
-        ListCursor cursor(&store->view->list(1), store->catalog->pool());
+      {
+        ListCursor cursor(&delta.view->list(1), delta.catalog->pool());
         // The memory-backed cursor participates in the label differential.
         ListCursor mem(labels.data(), n);
 
         // Sequential labels + pointers.
         for (uint32_t i = 0; i < n; ++i, cursor.Next()) {
-          ASSERT_EQ(cursor.LabelAt(), labels[i])
-              << "variant " << variant << " entry " << i;
+          ASSERT_EQ(cursor.LabelAt(), labels[i]) << "entry " << i;
           ASSERT_EQ(cursor.Following(), follows[i]);
         }
 
@@ -348,8 +344,8 @@ TEST(BlockCursorTest, FixedDeltaAndMemoryCursorsAgreeWithOracle) {
               });
           ASSERT_FALSE(out.aborted);
           ASSERT_EQ(out.pos, expected)
-              << "variant " << variant << " from " << from << " bound "
-              << bound << " strict " << strict;
+              << "from " << from << " bound " << bound << " strict "
+              << strict;
           ASSERT_EQ(cursor.index(), from) << "FindFirstStart must not move";
           // Governance accounting pins: every probe charged, exactly once.
           ASSERT_EQ(charged, probes);
@@ -396,26 +392,21 @@ TEST(BlockCursorTest, FixedDeltaAndMemoryCursorsAgreeWithOracle) {
 // ---- Wide fan-out guard -----------------------------------------------------
 
 TEST(FanOutGuardTest, RecordWiderThanPageIsATypedError) {
-  // 1025 pc-children make an LE record 20 + 4*1025 = 4120 bytes — wider
-  // than a page, so no (page, offset) encoding exists. This must surface as
-  // InvalidArgument at materialization, not a division crash in cursor
-  // arithmetic.
+  // 1025 pc-children make an LE record whose worst-case encoding (5 bytes
+  // per field) is wider than a page, so no page could hold it. This must
+  // surface as InvalidArgument at materialization, not as a page overrun.
   xml::Document doc = testing::MakeDoc("r(x)");
   tpq::TreePattern wide;
   int root = wide.AddNode("r", -1, tpq::Axis::kDescendant);
   for (int i = 0; i < 1025; ++i) {
     wide.AddNode("c" + std::to_string(i), root, tpq::Axis::kChild);
   }
-  for (ListFormat format : {ListFormat::kFixed, ListFormat::kDelta}) {
-    ViewCatalog catalog(TempPath("fanout.db"), 16);
-    catalog.set_list_format(format);
-    auto result =
-        catalog.TryMaterialize(doc, wide, Scheme::kLinkedElement);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
-    EXPECT_NE(result.status().ToString().find("fan-out"), std::string::npos)
-        << result.status().ToString();
-  }
+  ViewCatalog catalog(TempPath("fanout.db"), 16);
+  auto result = catalog.TryMaterialize(doc, wide, Scheme::kLinkedElement);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().ToString().find("fan-out"), std::string::npos)
+      << result.status().ToString();
 }
 
 // ---- Abort soundness --------------------------------------------------------
@@ -423,8 +414,7 @@ TEST(FanOutGuardTest, RecordWiderThanPageIsATypedError) {
 TEST(FindFirstStartAbortTest, CutShortSeeksNeverSkipLiveEntries) {
   util::Rng doc_rng(31);
   xml::Document doc = testing::RandomDoc(&doc_rng, 4000, {"a", "b"});
-  CursorStore store = BuildStore(doc, "abort_seek.db", ListFormat::kDelta,
-                                 Scheme::kLinkedElement);
+  CursorStore store = BuildStore(doc, "abort_seek.db", Scheme::kLinkedElement);
   const StoredList* list = &store.view->list(1);
   const uint32_t n = list->count;
   ASSERT_GT(n, 100u);
@@ -468,10 +458,8 @@ TEST(FsckDeltaTest, VerifiesCompressedListsAndFlagsLyingPayloads) {
   storage::PageId victim;
   {
     ViewCatalog catalog(path, 64, /*persistent=*/true);
-    catalog.set_list_format(ListFormat::kDelta);
     const MaterializedView* view =
         catalog.Materialize(doc, MustParse("//a//b"), Scheme::kLinkedElement);
-    ASSERT_EQ(view->list(0).format, ListFormat::kDelta);
     victim = view->list(0).first_page;
     ASSERT_TRUE(catalog.Close().ok());
   }
@@ -495,6 +483,33 @@ TEST(FsckDeltaTest, VerifiesCompressedListsAndFlagsLyingPayloads) {
   EXPECT_TRUE(lying.corrupt()) << storage::ToJson(lying);
   EXPECT_NE(storage::ToJson(lying).find("bad_compressed_lists"),
             std::string::npos);
+
+  // The same lie in a document store's tag list: fsck decodes doc-store
+  // pages with the same list check, and the command line reports a corrupt
+  // base document (exit 4).
+  const std::string doc_path = TempPath("fsck_delta.doc");
+  {
+    auto store = storage::DocumentStore::BuildFromDocument(doc_path, doc, {});
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    victim = (*store)->ListOfTag((*store)->FindTag("b"))->first_page;
+  }
+  EXPECT_TRUE(storage::FsckDocumentStore(doc_path).clean());
+  {
+    Pager pager(doc_path, Pager::Mode::kReopen);
+    ASSERT_TRUE(pager.init_status().ok());
+    std::vector<uint8_t> zeros(Pager::kPageSize, 0);
+    ASSERT_TRUE(pager.WritePage(victim, zeros.data()).ok());
+  }
+  storage::FsckDocStoreReport doc_report =
+      storage::FsckDocumentStore(doc_path);
+  EXPECT_TRUE(doc_report.pager.bad_pages.empty());
+  ASSERT_FALSE(doc_report.bad_lists.empty());
+  EXPECT_TRUE(doc_report.corrupt()) << storage::ToJson(doc_report);
+  const std::string command =
+      std::string(VJ_FSCK_BIN) + " --doc --quiet " + doc_path;
+  int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 4) << command;
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "core/engine.h"
 #include "storage/document_store.h"
 #include "storage/fsck.h"
+#include "storage/manifest.h"
 #include "storage/stored_list.h"
 #include "tests/test_util.h"
 #include "util/fault_injection.h"
@@ -52,9 +53,8 @@ void ExpectNoStoreFiles(const std::string& path) {
   EXPECT_FALSE(FileExists(path)) << path;
   EXPECT_FALSE(FileExists(path + ".manifest")) << path << ".manifest";
   for (int run = 0; run < 8; ++run) {
-    const std::string base = path + ".run" + std::to_string(run);
-    EXPECT_FALSE(FileExists(base + ".a")) << base << ".a";
-    EXPECT_FALSE(FileExists(base + ".b")) << base << ".b";
+    const std::string run_path = path + ".run" + std::to_string(run);
+    EXPECT_FALSE(FileExists(run_path)) << run_path;
   }
 }
 
@@ -84,19 +84,13 @@ std::vector<xml::Label> ScanTag(const DocumentStore& store,
   return labels;
 }
 
-/// The same list taken from the in-memory document, sorted by start (the
-/// order the store's element streams guarantee).
+/// The same list taken from the in-memory document's element stream.
 std::vector<xml::Label> DocTagLabels(const xml::Document& doc,
                                      const std::string& tag) {
   std::vector<xml::Label> labels;
-  xml::TagId id = doc.FindTag(tag);
-  for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
-    if (doc.NodeTag(n) == id) labels.push_back(doc.NodeLabel(n));
+  for (xml::NodeId n : doc.NodesOfTag(doc.FindTag(tag))) {
+    labels.push_back(doc.NodeLabel(n));
   }
-  std::sort(labels.begin(), labels.end(),
-            [](const xml::Label& a, const xml::Label& b) {
-              return a.start < b.start;
-            });
   return labels;
 }
 
@@ -112,6 +106,18 @@ bool SameLabels(const std::vector<xml::Label>& a,
   return true;
 }
 
+/// Every tag list of `store` holds exactly `doc`'s element stream of that
+/// tag, and the two tag tables agree.
+void ExpectStoreMirrorsDocument(const DocumentStore& store,
+                                const xml::Document& doc) {
+  ASSERT_EQ(store.TagCount(), doc.TagCount());
+  for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
+    const std::string& tag = doc.TagName(t);
+    EXPECT_TRUE(SameLabels(ScanTag(store, tag), DocTagLabels(doc, tag)))
+        << tag;
+  }
+}
+
 TEST(DocumentStoreTest, BuildRoundtripMatchesInMemoryParse) {
   const std::string xml = BigXml(40);
   xml::ParseResult parsed = xml::ParseDocument(xml);
@@ -122,21 +128,9 @@ TEST(DocumentStoreTest, BuildRoundtripMatchesInMemoryParse) {
   auto store = DocumentStore::BuildFromText(path, xml, {});
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
-  EXPECT_EQ((*store)->node_count(), doc.NodeCount());
-  ASSERT_EQ((*store)->TagCount(), doc.TagCount());
-  for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
-    auto node = (*store)->NodeAt(n);
-    ASSERT_TRUE(node.ok()) << node.status().ToString();
-    const xml::Label& expected = doc.NodeLabel(n);
-    EXPECT_EQ(node->start, expected.start);
-    EXPECT_EQ(node->end, expected.end);
-    EXPECT_EQ(node->level, expected.level);
-    EXPECT_EQ((*store)->TagName(node->tag), doc.TagName(doc.NodeTag(n)));
-    EXPECT_EQ(node->parent, doc.Parent(n));
-  }
-  for (const char* tag : {"root", "section", "para", "bold", "keyword"}) {
-    EXPECT_TRUE(SameLabels(ScanTag(**store, tag), DocTagLabels(doc, tag)))
-        << tag;
+  ExpectStoreMirrorsDocument(**store, doc);
+  for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
+    EXPECT_EQ((*store)->TagName(t), doc.TagName(t));  // same interning order
   }
   // Unknown tags yield the shared empty list, not a crash.
   EXPECT_EQ((*store)->ListOfTag((*store)->FindTag("nosuchtag"))->count, 0u);
@@ -155,7 +149,6 @@ TEST(DocumentStoreTest, TinySpillBudgetBuildsIdenticalStore) {
   auto tiny = DocumentStore::BuildFromText(tiny_path, xml, tiny_options);
   ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
 
-  EXPECT_EQ((*tiny)->node_count(), (*big)->node_count());
   EXPECT_EQ((*tiny)->TagCount(), (*big)->TagCount());
   for (const char* tag : {"root", "section", "head", "title", "para", "bold",
                           "keyword"}) {
@@ -163,7 +156,7 @@ TEST(DocumentStoreTest, TinySpillBudgetBuildsIdenticalStore) {
   }
   // A successful build sweeps its own spill runs.
   for (int run = 0; run < 8; ++run) {
-    EXPECT_FALSE(FileExists(tiny_path + ".run" + std::to_string(run) + ".a"));
+    EXPECT_FALSE(FileExists(tiny_path + ".run" + std::to_string(run)));
   }
 }
 
@@ -174,39 +167,41 @@ TEST(DocumentStoreTest, BuildFromDocumentMirrorsEveryLabel) {
   const std::string path = TempPath("doc_snapshot.doc");
   auto store = DocumentStore::BuildFromDocument(path, doc, {});
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_EQ((*store)->node_count(), doc.NodeCount());
-  for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
-    auto node = (*store)->NodeAt(n);
-    ASSERT_TRUE(node.ok()) << node.status().ToString();
-    const xml::Label& expected = doc.NodeLabel(n);
-    EXPECT_EQ(node->start, expected.start);
-    EXPECT_EQ(node->end, expected.end);
-    EXPECT_EQ(node->level, expected.level);
-  }
-  for (const char* tag : {"a", "b", "c", "d", "e"}) {
-    EXPECT_TRUE(SameLabels(ScanTag(**store, tag), DocTagLabels(doc, tag)))
-        << tag;
-  }
+  ExpectStoreMirrorsDocument(**store, doc);
 }
 
 TEST(DocumentStoreTest, OpenReopensWhatBuildWrote) {
   const std::string xml = BigXml(30);
   const std::string path = TempPath("doc_reopen.doc");
-  uint64_t nodes = 0;
-  size_t tags = 0;
-  std::vector<xml::Label> paras;
   {
     auto store = DocumentStore::BuildFromText(path, xml, {});
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    nodes = (*store)->node_count();
-    tags = (*store)->TagCount();
-    paras = ScanTag(**store, "para");
   }
-  auto reopened = DocumentStore::Open(path, {});
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->node_count(), nodes);
-  EXPECT_EQ((*reopened)->TagCount(), tags);
-  EXPECT_TRUE(SameLabels(ScanTag(**reopened, "para"), paras));
+  xml::ParseResult parsed = xml::ParseDocument(xml);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  {
+    auto reopened = DocumentStore::Open(path, {});
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ExpectStoreMirrorsDocument(**reopened, *parsed.document);
+  }
+
+  // A TOC whose page directory is not monotone would send cursors to
+  // arbitrary pages: Open refuses it rather than trusting the page range.
+  const std::string manifest = storage::ManifestJournal::PathFor(path);
+  auto replay = storage::ManifestJournal::Replay(manifest);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  std::vector<storage::ManifestViewRecord> records = replay->installed;
+  ASSERT_FALSE(records.empty());
+  StoredList& list = records[0].lists[0];
+  list.page_first_entry.push_back(list.page_first_entry.back());
+  list.page_first_start.push_back(list.page_first_start.back());
+  ASSERT_TRUE(storage::ManifestJournal::WriteCheckpoint(
+                  manifest, records, {}, replay->last_epoch)
+                  .ok());
+  auto refused = DocumentStore::Open(path, {});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruption)
+      << refused.status().ToString();
 }
 
 TEST(DocumentStoreTest, OpenWithoutManifestIsNotFound) {
@@ -245,9 +240,6 @@ TEST(DocumentStoreTest, CorruptPageSurfacesThroughErrorScope) {
   storage::BufferPool::ErrorScope guard((*store)->pool());
   for (size_t t = 0; t < (*store)->TagCount(); ++t) {
     ScanTag(**store, (*store)->TagName(static_cast<xml::TagId>(t)));
-  }
-  for (xml::NodeId n = 0; n < (*store)->node_count(); ++n) {
-    (void)(*store)->NodeAt(n);
   }
   EXPECT_FALSE(guard.error().ok());
   EXPECT_EQ(guard.error().code(), StatusCode::kCorruption);
@@ -302,7 +294,7 @@ TEST(DocumentStoreTest, InjectedWriteFaultAbortsWithoutOrphans) {
   // And the failure is invisible to a later build at the same path.
   auto retry = DocumentStore::BuildFromText(path, BigXml(40), tiny);
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_GT((*retry)->node_count(), 0u);
+  EXPECT_GT((*retry)->TagCount(), 0u);
 }
 
 // ---- fsck over document stores ---------------------------------------------
@@ -325,11 +317,10 @@ TEST(DocStoreFsckTest, CleanOrphanStrayAndCorruptVerdicts) {
   EXPECT_TRUE(clean.present);
   EXPECT_TRUE(clean.clean()) << storage::ToJson(clean);
   EXPECT_GT(clean.tag_count, 0u);
-  EXPECT_GT(clean.node_count, 0u);
   EXPECT_GT(clean.durable_page_count, 0u);
 
   // A stray spill run is a crash artifact, not corruption.
-  const std::string stray = path + ".run0.a";
+  const std::string stray = path + ".run0";
   {
     std::FILE* f = std::fopen(stray.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -482,7 +473,6 @@ class ScopedDocEnv {
   static void Clear() {
     ::unsetenv("VIEWJOIN_DOC_MODE");
     ::unsetenv("VIEWJOIN_DOC_POOL_PAGES");
-    ::unsetenv("VIEWJOIN_PARSE_BUDGET");
     ::unsetenv("VIEWJOIN_READAHEAD_PAGES");
   }
 };
@@ -493,7 +483,6 @@ TEST(ApplyEnvOptionsTest, UnsetVariablesLeaveDefaultsUntouched) {
   ASSERT_TRUE(core::ApplyEnvOptions(&options).ok());
   EXPECT_EQ(options.doc_mode, core::DocMode::kMemory);
   EXPECT_EQ(options.doc_pool_pages, 1024u);
-  EXPECT_EQ(options.doc_parse_budget_bytes, size_t{64} << 20);
   EXPECT_EQ(options.readahead_pages, 0u);
 }
 
@@ -501,13 +490,11 @@ TEST(ApplyEnvOptionsTest, WellFormedValuesApply) {
   ScopedDocEnv env;
   ::setenv("VIEWJOIN_DOC_MODE", "disk", 1);
   ::setenv("VIEWJOIN_DOC_POOL_PAGES", "64", 1);
-  ::setenv("VIEWJOIN_PARSE_BUDGET", "4096", 1);
   ::setenv("VIEWJOIN_READAHEAD_PAGES", "8", 1);
   core::EngineOptions options;
   ASSERT_TRUE(core::ApplyEnvOptions(&options).ok());
   EXPECT_EQ(options.doc_mode, core::DocMode::kDisk);
   EXPECT_EQ(options.doc_pool_pages, 64u);
-  EXPECT_EQ(options.doc_parse_budget_bytes, 4096u);
   EXPECT_EQ(options.readahead_pages, 8u);
 
   ::setenv("VIEWJOIN_DOC_MODE", "memory", 1);
@@ -529,7 +516,6 @@ TEST(ApplyEnvOptionsTest, MalformedValuesAreTypedErrors) {
       // deliberately NOT in this table.
       {"VIEWJOIN_DOC_POOL_PAGES", "abc"},
       {"VIEWJOIN_DOC_POOL_PAGES", "-3"},
-      {"VIEWJOIN_PARSE_BUDGET", "64MB"},
       {"VIEWJOIN_READAHEAD_PAGES", "1.5"},
       {"VIEWJOIN_READAHEAD_PAGES", " 4"},
   };

@@ -274,16 +274,18 @@ TEST(ManifestJournalTest, MidFileCorruptionIsFatal) {
 }
 
 TEST(ManifestJournalTest, TextManifestIsRefused) {
-  // A "VIEWJOINCAT" plain-text manifest predates the journal, and a v1
-  // journal header names a list encoding no writer emits any more. No store
-  // in either format exists, so neither gets a converter: Open refuses both
+  // A "VIEWJOINCAT" plain-text manifest predates the journal, a v1 journal
+  // header names a list encoding no writer emits any more, and a list whose
+  // format byte is 0 holds fixed-size records no reader decodes. No store in
+  // any of these formats exists, so none gets a converter: Open refuses them
   // typed and fsck reports them corrupt.
   struct Input {
     const char* name;
     const char* expected_message;
   };
   const Input inputs[] = {{"text", "bad or truncated header"},
-                          {"v1-header", "header fails validation"}};
+                          {"v1-header", "header fails validation"},
+                          {"fixed-list", "does not decode"}};
   for (const Input& input : inputs) {
     SCOPED_TRACE(input.name);
     xml::Document doc = CrashDoc();
@@ -299,6 +301,39 @@ TEST(ManifestJournalTest, TextManifestIsRefused) {
       std::FILE* f = std::fopen(journal.c_str(), "w");
       ASSERT_NE(f, nullptr);
       std::fputs("VIEWJOINCAT 1 1\nV 0 //a//b\nM 1 12 0\nG 1 1\nL 2\n", f);
+      std::fclose(f);
+    } else if (std::string(input.name) == "fixed-list") {
+      // The install record's first element list says format 0, with the
+      // record CRC recomputed: it frames and checksums fine, only the
+      // format is one no reader handles.
+      std::FILE* f = std::fopen(journal.c_str(), "r+b");
+      ASSERT_NE(f, nullptr);
+      std::vector<uint8_t> bytes(1 << 16);
+      bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+      bool patched = false;
+      for (size_t pos = 16; pos + 5 <= bytes.size() && !patched;) {
+        uint32_t len;
+        std::memcpy(&len, &bytes[pos], 4);
+        uint8_t* payload = &bytes[pos + 5];
+        if (bytes[pos + 4] ==
+            static_cast<uint8_t>(storage::ManifestRecordType::kInstall)) {
+          // epoch, scheme, pattern, three counters and page_count_after;
+          // then the empty tuple list (26 bytes), the list count, and the
+          // first list's page, count and layout (17 bytes).
+          uint16_t pattern_len;
+          std::memcpy(&pattern_len, payload + 9, 2);
+          const size_t format_at = 39 + pattern_len + 26 + 4 + 17;
+          ASSERT_EQ(payload[format_at], 1);
+          payload[format_at] = 0;
+          const uint32_t crc = util::Crc32(&bytes[pos + 4], len + 1);
+          std::memcpy(payload + len, &crc, 4);
+          patched = true;
+        }
+        pos += 5 + len + 4;
+      }
+      ASSERT_TRUE(patched);
+      ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
       std::fclose(f);
     } else {
       // Version 1 with a header CRC that matches it: only the version is

@@ -16,7 +16,9 @@
 #include "bench/workloads.h"
 #include "core/engine.h"
 #include "data/xmark_generator.h"
+#include "storage/document_store.h"
 #include "storage/materialized_view.h"
+#include "storage/stored_list.h"
 #include "tests/test_util.h"
 #include "tpq/pattern.h"
 #include "util/fault_injection.h"
@@ -88,7 +90,21 @@ TEST(OutOfCoreDifferentialTest, DiskModeMatchesMemoryOnEveryXmarkCombo) {
   TwinEngines twins(/*xmark_scale=*/0.25);
   ASSERT_NE(twins.disk().doc_store(), nullptr)
       << twins.disk().doc_store_status().ToString();
-  ASSERT_EQ(twins.disk().doc_store()->node_count(), twins.doc().NodeCount());
+  // Every tag list of the store holds exactly the document's live labels of
+  // that tag, in stream order.
+  const storage::DocumentStore& store = *twins.disk().doc_store();
+  const xml::Document& doc = twins.doc();
+  ASSERT_EQ(store.TagCount(), doc.TagCount());
+  for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
+    const std::vector<xml::NodeId>& nodes = doc.NodesOfTag(t);
+    storage::ListCursor cursor(store.ListOfTag(store.FindTag(doc.TagName(t))),
+                               store.pool());
+    ASSERT_EQ(cursor.size(), nodes.size()) << doc.TagName(t);
+    for (xml::NodeId n : nodes) {
+      ASSERT_EQ(cursor.LabelAt(), doc.NodeLabel(n)) << doc.TagName(t);
+      cursor.Next();
+    }
+  }
 
   for (const QuerySpec& spec : bench::XmarkQueries()) {
     TreePattern query = ParseQuery(spec.xpath);

@@ -22,7 +22,6 @@ using storage::ListCursor;
 using storage::MaterializedView;
 using storage::Pager;
 using storage::Scheme;
-using storage::StoredList;
 using storage::ViewCatalog;
 using testing::MakeDoc;
 using testing::MustParse;
@@ -191,21 +190,6 @@ TEST(BufferPoolTest, ErrorScopeIsolatesLatchesPerThread) {
   pool.Clear();
   EXPECT_TRUE(pool.error().ok());
   EXPECT_EQ(pool.error_page(), storage::kInvalidPage);
-}
-
-TEST(StoredListTest, PageOffsetArithmetic) {
-  StoredList list;
-  list.first_page = 3;
-  list.count = 1000;
-  list.layout.label_count = 1;
-  ASSERT_EQ(list.layout.RecordSize(), 12u);
-  EXPECT_EQ(list.RecordsPerPage(), 341u);
-  EXPECT_EQ(list.PageOf(0), 3u);
-  EXPECT_EQ(list.PageOf(340), 3u);
-  EXPECT_EQ(list.PageOf(341), 4u);
-  EXPECT_EQ(list.OffsetOf(341), 0u);
-  EXPECT_EQ(list.OffsetOf(342), 12u);
-  EXPECT_EQ(list.PageSpan(), 3u);
 }
 
 class MaterializeTest : public ::testing::Test {

@@ -467,6 +467,58 @@ TEST(EngineUpdateTest, BadOpsAreSkippedNotFatal) {
   EXPECT_EQ(r.match_count, fx.OracleCount());
 }
 
+// A batch the catalog refuses leaves the document as the last committed
+// epoch describes it — in memory and in the paged document store — so a
+// retry of the same batch applies it exactly once.
+TEST(EngineUpdateTest, RefusedBatchLeavesDocumentUntouched) {
+  for (core::DocMode mode : {core::DocMode::kMemory, core::DocMode::kDisk}) {
+    SCOPED_TRACE(mode == core::DocMode::kDisk ? "disk doc mode"
+                                              : "memory doc mode");
+    xml::Document doc = MakeDoc("r(a(b(c)) a(b(c)) a(b(c)))");
+    const std::string path = TempPath("update_refused_batch.db");
+    CleanupStore(path);
+    EngineOptions options;
+    options.persistent = true;
+    options.doc_mode = mode;
+    Engine engine(&doc, path, options);
+    const TreePattern query = MustParse("//a//b//c");
+    const MaterializedView* view = engine.AddView(query, Scheme::kElement);
+    auto answer = [&] {
+      RunResult r = engine.Execute(query, {view});
+      EXPECT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.match_count, NaiveEvaluator(doc, query).Count());
+      return r.match_count;
+    };
+    ASSERT_EQ(answer(), 3u);
+
+    UpdateOp del;
+    del.kind = UpdateOp::Kind::kDeleteSubtree;
+    del.target_tag = "a";
+    del.target_start =
+        doc.NodeLabel(doc.NodesOfTag(doc.FindTag("a"))[1]).start;
+    const uint64_t revision = doc.revision();
+    {
+      ScopedFaultInjection fi;
+      fi->ArmDiskBudget(0);
+      auto refused = engine.ApplyUpdates({del});
+      ASSERT_FALSE(refused.ok());
+      EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
+          << refused.status().ToString();
+    }
+    EXPECT_EQ(doc.revision(), revision);
+    EXPECT_EQ(answer(), 3u);
+
+    auto applied = engine.ApplyUpdates({del});
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_EQ(applied->applied, 1u);
+    EXPECT_EQ(answer(), 2u);
+    if (mode == core::DocMode::kDisk) {
+      EXPECT_NE(engine.doc_store(), nullptr)
+          << engine.doc_store_status().ToString();
+    }
+  }
+}
+
 TEST(EngineUpdateTest, GapExhaustionTriggersRelabelAndRebuild) {
   // gap = 1: the very first insert cannot fit and forces RelabelWithGap.
   EngineFixture fx(Scheme::kLinkedElement, {}, /*gap=*/1);
